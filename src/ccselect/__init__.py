@@ -39,8 +39,8 @@ from .kernels import (
     KernelSpec,
     ResponseData,
     center,
+    centered_response,
     median_bandwidth,
-    response_gram,
     weighted_gaussian_gram,
     weighted_linear_gram,
 )
@@ -88,8 +88,8 @@ __all__ = [
     "CsvParseError", "DegenerateDataError", "InvalidDataError",
     "InvalidLabelError", "InvalidParameterError", "NumericalError",
     "SelectionError", "SubsetGuardError",
-    "GramMatrix", "KernelSpec", "ResponseData", "center", "median_bandwidth",
-    "response_gram", "weighted_gaussian_gram", "weighted_linear_gram",
+    "GramMatrix", "KernelSpec", "ResponseData", "center", "centered_response",
+    "median_bandwidth", "weighted_gaussian_gram", "weighted_linear_gram",
     "ObjectiveConfig", "ObjectiveValue", "alpha_objective", "exact_objective",
     "low_rank_equivalent_value", "low_rank_objective",
     "soft_penalty_objective", "solve_alpha",

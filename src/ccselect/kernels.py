@@ -1,4 +1,4 @@
-"""Kernel evaluation on weighted inputs, Gram centering, response kernels.
+"""Kernel evaluation on weighted inputs, Gram centering, centred responses.
 
 The input kernel acts on coordinate-weighted points w ⊙ x, so a Gaussian
 entry is exp(-sum_l w_l^2 (x_il - x_jl)^2 / (2 sigma^2)) and a binary weight
@@ -69,10 +69,9 @@ class GramMatrix:
 
 
 class ResponseData(NamedTuple):
-    """Centered response matrix Y (n x k) and its Gram G = Y Y^T."""
+    """Centered response matrix Y (n x k); its Gram Y Y^T is never formed."""
 
     y_mat: np.ndarray
-    gram: GramMatrix
 
 
 def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -170,13 +169,14 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return Y
 
 
-def response_gram(y: np.ndarray, spec: KernelSpec) -> ResponseData:
-    """Build the centered response matrix Y and its Gram G_Y = Y Y^T.
+def centered_response(y: np.ndarray, spec: KernelSpec) -> ResponseData:
+    """Build the centered response matrix Y (n x k), the factor of G_Y = Y Y^T.
 
     Real responses use the linear kernel on the response directly; class
     labels are one-hot encoded first (the delta kernel is the linear kernel
     on one-hot vectors). Columns of Y are centered to exact zero mean, which
-    makes G_Y centered by construction.
+    makes G_Y centered by construction. The objectives read only Y, so the
+    n x n response Gram is not built.
     """
     y = np.asarray(y)
     if spec.response_kernel == "linear":
@@ -189,9 +189,7 @@ def response_gram(y: np.ndarray, spec: KernelSpec) -> ResponseData:
             raise InvalidDataError("response contains non-finite entries")
     else:
         Y = one_hot(y, spec.num_classes)
-    Y = center_rows(Y)
-    G = _symmetrize(Y @ Y.T)
-    return ResponseData(Y, GramMatrix(G, centered=True))
+    return ResponseData(center_rows(Y))
 
 
 def median_bandwidth(X: np.ndarray, *, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS,

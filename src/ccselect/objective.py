@@ -288,8 +288,10 @@ def low_rank_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
     value = -float(np.sum(T * S))
     if not compute_gradient:
         return ObjectiveValue(value)
-    Gamma = 2.0 * ((V @ S - Y) @ S.T)
-    grad = features.grad_contract(X, w, center_rows(Gamma))
+    # d core / d V = 2 (V S - Y) S^T; the map contracts its centered form
+    # from the n x k and D x k factors, so no n x D matrix is formed.
+    A = center_rows(V @ S - Y)
+    grad = 2.0 * features.grad_contract(X, w, A, S)
     return ObjectiveValue(value, gradient_w=grad)
 
 

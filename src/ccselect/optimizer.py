@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import LabeledDataset, canonical_class_labels
 from .errors import InvalidDataError, InvalidParameterError
-from .kernels import KernelSpec, ResponseData, median_bandwidth, response_gram
+from .kernels import KernelSpec, ResponseData, centered_response, median_bandwidth
 from .objective import (
     ObjectiveConfig,
     alpha_objective,
@@ -152,9 +152,9 @@ def dataset_response(dataset: LabeledDataset) -> ResponseData:
         labels, classes = canonical_class_labels(dataset.y)
         spec = KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
                           num_classes=len(classes))
-        return response_gram(labels, spec)
+        return centered_response(labels, spec)
     spec = KernelSpec(input_kernel="linear", response_kernel="linear")
-    return response_gram(np.asarray(dataset.y, dtype=np.float64), spec)
+    return centered_response(np.asarray(dataset.y, dtype=np.float64), spec)
 
 
 def _initial_weights(d: int, cfg: ObjectiveConfig, projector, w0, perturbation: float):
@@ -171,7 +171,10 @@ def _initial_weights(d: int, cfg: ObjectiveConfig, projector, w0, perturbation: 
 
 
 def _descend(w, evaluate, projector, opt: OptimizerConfig):
-    """Monotone PGD: returns (w, trace, converged, iterations, last_eval)."""
+    """Monotone PGD: returns (w, trace, converged, iterations).
+
+    trace[-1] is the objective value at the returned w.
+    """
     current = evaluate(w)
     trace = [current.value]
     step = opt.init_step
@@ -201,7 +204,7 @@ def _descend(w, evaluate, projector, opt: OptimizerConfig):
         if rel < opt.rel_tol:
             converged = True
             break
-    return w, trace, converged, iterations, current
+    return w, trace, converged, iterations
 
 
 def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
@@ -258,7 +261,7 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
     w = _initial_weights(d, cfg, projector, w0, init_perturbation)
 
     if cfg.variant == "alpha":
-        w, trace, converged, iterations, _ = _descend_alpha(
+        w, trace, converged, iterations = _descend_alpha(
             X, response, w, cfg, kernel, projector, opt,
             soft_cardinality=alpha_soft_cardinality)
     else:
@@ -268,17 +271,20 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
             evaluate = lambda wv: soft_penalty_objective(X, response, wv, cfg, kernel)  # noqa: E731
         else:
             evaluate = lambda wv: low_rank_objective(X, response, wv, cfg, feature_map)  # noqa: E731
-        w, trace, converged, iterations, _ = _descend(w, evaluate, projector, opt)
+        w, trace, converged, iterations = _descend(w, evaluate, projector, opt)
 
-    if cfg.variant == "low_rank":
-        core = low_rank_objective(X, response, w, cfg, feature_map,
-                                  compute_gradient=False).value
-        trace_estimate = cfg.epsilon * low_rank_equivalent_value(
-            core, response, cfg.epsilon, n)
+    # The descent's last value was taken at the final w, so only the alpha
+    # variant, whose trace holds the alpha objective, evaluates Q again.
+    if cfg.variant == "exact":
+        q_final = trace[-1]
+    elif cfg.variant == "soft_penalty":
+        q_final = trace[-1] - cfg.lambda1 * (float(w.sum()) - cfg.m)
+    elif cfg.variant == "low_rank":
+        q_final = low_rank_equivalent_value(trace[-1], response, cfg.epsilon, n)
     else:
         q_final = exact_objective(X, response, w, cfg, kernel,
                                   compute_gradient=False).value
-        trace_estimate = cfg.epsilon * q_final
+    trace_estimate = cfg.epsilon * q_final
 
     ranking = ranking_from_weights(w)
     result = SelectionResult(
@@ -347,4 +353,4 @@ def _descend_alpha(X, response, w, cfg, kernel, projector, opt: OptimizerConfig,
         if rel < opt.rel_tol:
             converged = True
             break
-    return w, trace, converged, iterations, current
+    return w, trace, converged, iterations

@@ -45,14 +45,22 @@ class RandomFeatureMap:
     def centered_embed(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
         return centered_embed(self, X, w)
 
-    def grad_contract(self, X: np.ndarray, w: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """Return the d-vector sum_{i,r} C[i,r] * d(embed)[i,r] / d w_l.
+    def grad_contract(self, X: np.ndarray, w: np.ndarray, A: np.ndarray,
+                      S: np.ndarray) -> np.ndarray:
+        """Return the d-vector sum_{i,r} (A S^T)[i,r] * d(embed)[i,r] / d w_l.
 
-        d(embed)_ir / d w_l = -scale * sin(theta_ir) * frequencies[r, l] * X[i, l].
+        A is n x k and S is D x k. With
+        d(embed)_ir / d w_l = -scale * sin(theta_ir) * frequencies[r, l] * X[i, l],
+        the sum is -scale * sum_k A[:, k]^T (X ∘ (sin(theta) (S[:, k] ∘ frequencies))),
+        which never forms the n x D product A S^T.
         """
-        theta = (X * w) @ self.frequencies.T + self.phases
-        Z = C * (-self.scale * np.sin(theta))
-        return np.sum(X * (Z @ self.frequencies), axis=0)
+        theta = (X * w) @ self.frequencies.T
+        theta += self.phases
+        sin_theta = np.sin(theta, out=theta)
+        total = np.zeros(X.shape[1])
+        for k in range(A.shape[1]):
+            total += A[:, k] @ (X * (sin_theta @ (S[:, k, None] * self.frequencies)))
+        return -self.scale * total
 
 
 @dataclass(frozen=True)
@@ -75,9 +83,11 @@ class LinearFeatureMap:
     def centered_embed(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
         return center_rows(self.embed(X, w))
 
-    def grad_contract(self, X: np.ndarray, w: np.ndarray, C: np.ndarray) -> np.ndarray:
-        # dU_ir/dw_l = X_il when r == l, else 0.
-        return np.sum(C * X, axis=0)
+    def grad_contract(self, X: np.ndarray, w: np.ndarray, A: np.ndarray,
+                      S: np.ndarray) -> np.ndarray:
+        # dU_ir/dw_l = X_il when r == l, else 0, so the sum is
+        # sum_{i,k} A_ik X_il S_lk.
+        return np.sum((A.T @ X) * S.T, axis=0)
 
 
 def draw_map(d: int, D: int, sigma: float, seed: int) -> RandomFeatureMap:
@@ -108,10 +118,17 @@ def embed(feature_map: RandomFeatureMap, X: np.ndarray, w: np.ndarray) -> np.nda
     """n x D matrix U_w with rows scale * cos(frequencies @ (w ⊙ x_i) + phases)."""
     X = np.asarray(X, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64).ravel()
-    theta = (X * w) @ feature_map.frequencies.T + feature_map.phases
-    return feature_map.scale * np.cos(theta)
+    # Work in place on the one n x D buffer, so no further n x D array is
+    # allocated.
+    U = (X * w) @ feature_map.frequencies.T
+    U += feature_map.phases
+    np.cos(U, out=U)
+    U *= feature_map.scale
+    return U
 
 
 def centered_embed(feature_map: RandomFeatureMap, X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """V_w = (I - 11^T/n) U_w; columns have exactly zero mean."""
-    return center_rows(embed(feature_map, X, w))
+    V = embed(feature_map, X, w)
+    V -= V.mean(axis=0, keepdims=True)
+    return V

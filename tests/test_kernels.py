@@ -10,8 +10,8 @@ from ccselect.errors import (
 from ccselect.kernels import (
     KernelSpec,
     center,
+    centered_response,
     median_bandwidth,
-    response_gram,
     weighted_gaussian_gram,
     weighted_linear_gram,
 )
@@ -133,24 +133,24 @@ def test_center_is_idempotent():
 
 def test_response_gram_regression():
     spec = KernelSpec(input_kernel="linear", response_kernel="linear")
-    Y, G = response_gram(np.array([1.0, -1.0]), spec)
+    (Y,) = centered_response(np.array([1.0, -1.0]), spec)
     assert np.allclose(Y, np.array([[1.0], [-1.0]]))
-    assert np.allclose(G.entries, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert np.allclose(Y @ Y.T, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_response_gram_one_hot_binary():
     spec = KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
                       num_classes=2)
-    Y, G = response_gram(np.array([0, 1]), spec)
+    (Y,) = centered_response(np.array([0, 1]), spec)
     # one-hot rows (1,0), (0,1) centered column-wise
     assert np.allclose(Y, np.array([[0.5, -0.5], [-0.5, 0.5]]))
-    assert np.allclose(G.entries, Y @ Y.T)
+    assert np.allclose(Y @ Y.T, np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
 
 def test_response_gram_constant_response_is_zero():
     spec = KernelSpec(input_kernel="linear", response_kernel="linear")
-    _, G = response_gram(np.full(5, 3.7), spec)
-    assert np.max(np.abs(G.entries)) == 0.0
+    (Y,) = centered_response(np.full(5, 3.7), spec)
+    assert np.max(np.abs(Y)) == 0.0
 
 
 def test_response_gram_is_already_centered():
@@ -159,16 +159,18 @@ def test_response_gram_is_already_centered():
     rng = np.random.default_rng(7)
     spec = KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
                       num_classes=3)
-    _, G = response_gram(rng.integers(0, 3, 20), spec)
-    recentered = center(GramMatrix(G.entries, centered=False))
-    assert np.max(np.abs(recentered.entries - G.entries)) <= 1e-10
+    (Y,) = centered_response(rng.integers(0, 3, 20), spec)
+    assert np.max(np.abs(Y.mean(axis=0))) <= 1e-15
+    G = Y @ Y.T
+    recentered = center(GramMatrix(G, centered=False))
+    assert np.max(np.abs(recentered.entries - G)) <= 1e-10
 
 
 def test_response_gram_label_out_of_range():
     spec = KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
                       num_classes=2)
     with pytest.raises(InvalidLabelError):
-        response_gram(np.array([0, 2]), spec)
+        centered_response(np.array([0, 2]), spec)
 
 
 def test_kernel_spec_validation():

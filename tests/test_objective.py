@@ -222,6 +222,29 @@ def test_low_rank_gradient_matches_finite_differences():
     assert vector_rel_error(grad, fd) <= 1e-5
 
 
+@pytest.mark.parametrize("features", ["narrow", "wide", "linear"])
+def test_low_rank_gradient_matches_finite_differences_three_classes(features):
+    # D < n solves on the D side, D > n through the push-through identity
+    rng = np.random.default_rng(21)
+    n, d = 15, 4
+    X = rng.standard_normal((n, d))
+    resp = dataset_response(
+        LabeledDataset(X, rng.integers(0, 3, n), "classification"))
+    assert resp.y_mat.shape == (n, 3)
+    fmap = {
+        "narrow": draw_map(d, 8, 1.5, seed=8),
+        "wide": draw_map(d, 40, 1.5, seed=9),
+        "linear": LinearFeatureMap(d),
+    }[features]
+    cfg = ObjectiveConfig(epsilon=0.3, m=2, num_random_features=fmap.num_features)
+    w = rng.uniform(0.1, 0.9, d)
+    grad = low_rank_objective(X, resp, w, cfg, fmap).gradient_w
+    fd = central_difference_gradient(
+        lambda wv: low_rank_objective(X, resp, wv, cfg, fmap,
+                                      compute_gradient=False).value, w)
+    assert vector_rel_error(grad, fd) <= 1e-5
+
+
 def test_low_rank_wide_map_uses_identical_mathematics():
     # D > n takes the small-side solve; values must agree with the D x D route
     X, resp = make_regression(n=12, d=4, seed=19)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,23 @@ from oracles import qp_project_oracle
 
 from ccselect.dataio import LabeledDataset
 from ccselect.errors import InvalidDataError, InvalidParameterError
-from ccselect.objective import ObjectiveConfig
+from ccselect.kernels import KernelSpec
+from ccselect.objective import (
+    ObjectiveConfig,
+    exact_objective,
+    low_rank_equivalent_value,
+    low_rank_objective,
+)
 from ccselect.optimizer import (
     FeatureWeights,
     OptimizerConfig,
+    dataset_response,
     optimize,
     project,
     ranking_from_weights,
     round_to_subset,
 )
+from ccselect.random_features import draw_map
 
 
 def test_project_leaves_feasible_points_alone():
@@ -194,3 +204,47 @@ def test_selection_result_reports_selected_as_top_of_ranking():
     assert set(result.selected) == set(result.ranking[:2])
     assert result.trace_estimate == pytest.approx(
         cfg.epsilon * result.objective_trace[-1], rel=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["exact", "soft_penalty", "low_rank"])
+def test_trace_estimate_equals_fresh_evaluation_at_final_weights(variant):
+    # the estimate comes from the descent's last value; it must be the value
+    # a fresh evaluation gives, without the soft-penalty term
+    ds = make_linear_dataset(40, 5, 13, noise=0.3)
+    cfg = ObjectiveConfig(epsilon=0.1, m=2, variant=variant, lambda1=0.5,
+                          num_random_features=32, seed=3)
+    result = optimize(ds, cfg)
+    w = result.final_weights
+    resp = dataset_response(ds)
+    if variant == "low_rank":
+        fmap = draw_map(5, 32, result.sigma, cfg.seed)
+        core = low_rank_objective(ds.X, resp, w, cfg, fmap,
+                                  compute_gradient=False).value
+        fresh = cfg.epsilon * low_rank_equivalent_value(core, resp, cfg.epsilon, 40)
+    else:
+        fresh = cfg.epsilon * exact_objective(
+            ds.X, resp, w, cfg, KernelSpec(bandwidth=result.sigma),
+            compute_gradient=False).value
+    assert result.trace_estimate == pytest.approx(fresh, rel=1e-12)
+
+
+def _traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_low_rank_fit_allocates_no_n_by_n_array():
+    # 16 MiB is under a quarter of one n x n float64 array (69 MiB). sigma is
+    # given, so the O(n^2) pairwise distances of the bandwidth heuristic are
+    # left out.
+    n = 3000
+    ds = make_linear_dataset(n, 5, 14, noise=0.3)
+    cfg = ObjectiveConfig(epsilon=0.1, m=2, variant="low_rank",
+                          num_random_features=64)
+    limit = 16 * 2**20
+    assert _traced_peak_bytes(lambda: dataset_response(ds)) < limit
+    assert _traced_peak_bytes(lambda: optimize(ds, cfg, sigma=1.0)) < limit

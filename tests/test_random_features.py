@@ -124,14 +124,18 @@ def test_embed_derivative_matches_finite_differences():
     X = rng.standard_normal((n, d))
     fmap = draw_map(d, D, 0.9, seed=13)
     w = rng.uniform(0.1, 0.9, d)
-    C = rng.standard_normal((n, D))
+    for k in (1, 3):
+        # the contraction weights C = A S^T arrive as their two factors
+        A = rng.standard_normal((n, k))
+        S = rng.standard_normal((D, k))
+        C = A @ S.T
 
-    def contracted(wv):
-        return float(np.sum(C * embed(fmap, X, wv)))
+        def contracted(wv):
+            return float(np.sum(C * embed(fmap, X, wv)))
 
-    grad = fmap.grad_contract(X, w, C)
-    fd = central_difference_gradient(contracted, w, h=1e-6)
-    assert vector_rel_error(grad, fd) <= 1e-6
+        grad = fmap.grad_contract(X, w, A, S)
+        fd = central_difference_gradient(contracted, w, h=1e-6)
+        assert vector_rel_error(grad, fd) <= 1e-6
 
 
 def test_linear_feature_map_is_exact_factorization():
