@@ -127,8 +127,23 @@ def weighted_linear_gram(X: np.ndarray, w: np.ndarray) -> GramMatrix:
     return GramMatrix(K)
 
 
+def center_in_place(M: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite a symmetric M with H M H = M - (a_i + a_j), a = r - mean(r)/2.
+
+    r holds the row means of M. ``scratch`` is an n x n buffer that receives
+    a_i + a_j; that sum is the same float in either order, so the result is
+    exactly symmetric.
+    """
+    r = M.mean(axis=1)
+    a = r - 0.5 * r.mean()
+    scratch[...] = a
+    scratch += a[:, None]
+    M -= scratch
+    return M
+
+
 def center(K: GramMatrix) -> GramMatrix:
-    """Conjugate by H = I - (1/n) 11^T, i.e. subtract row, column and grand means.
+    """Conjugate the symmetric K by H = I - (1/n) 11^T: subtract row, column and grand means.
 
     Runs in O(n^2); idempotent, so an already-centered input is returned as is.
     """
@@ -137,11 +152,8 @@ def center(K: GramMatrix) -> GramMatrix:
     M = K.entries
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidDataError(f"Gram matrix must be square, got shape {M.shape}")
-    row = M.mean(axis=1, keepdims=True)
-    col = M.mean(axis=0, keepdims=True)
-    grand = M.mean()
-    C = _symmetrize(M - row - col + grand)
-    return GramMatrix(C, centered=True)
+    C = np.array(M, dtype=np.float64)
+    return GramMatrix(center_in_place(C, np.empty_like(C)), centered=True)
 
 
 def center_rows(B: np.ndarray) -> np.ndarray:

@@ -122,6 +122,18 @@ def test_center_row_and_column_sums_vanish():
     assert np.array_equal(C.entries, C.entries.T)
 
 
+def test_center_exactly_symmetric_and_equal_to_h_m_h():
+    from ccselect.kernels import GramMatrix
+
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((50, 50))
+    M = A + A.T + 3.0
+    C = center(GramMatrix(M)).entries
+    assert np.array_equal(C, C.T)
+    H = np.eye(50) - np.full((50, 50), 1.0 / 50)
+    assert np.max(np.abs(C - H @ M @ H)) <= 1e-12
+
+
 def test_center_is_idempotent():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((10, 3))
