@@ -37,9 +37,7 @@ from .errors import (
 from .kernels import (
     GramMatrix,
     KernelSpec,
-    ResponseData,
     center,
-    centered_response,
     median_bandwidth,
     weighted_gaussian_gram,
     weighted_linear_gram,
@@ -88,8 +86,8 @@ __all__ = [
     "CsvParseError", "DegenerateDataError", "InvalidDataError",
     "InvalidLabelError", "InvalidParameterError", "NumericalError",
     "SelectionError", "SubsetGuardError",
-    "GramMatrix", "KernelSpec", "ResponseData", "center", "centered_response",
-    "median_bandwidth", "weighted_gaussian_gram", "weighted_linear_gram",
+    "GramMatrix", "KernelSpec", "center", "median_bandwidth",
+    "weighted_gaussian_gram", "weighted_linear_gram",
     "ObjectiveConfig", "ObjectiveValue", "alpha_objective", "exact_objective",
     "low_rank_equivalent_value", "low_rank_objective",
     "soft_penalty_objective", "solve_alpha",

@@ -12,16 +12,15 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import LabeledDataset, canonical_class_labels
+from .dataio import LabeledDataset
 from .errors import InvalidDataError, InvalidParameterError
-from .kernels import one_hot
 from .objective import ObjectiveConfig
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import OptimizerConfig, dataset_response, optimize
 from .synthdata import KINDS, generate
 
 METHOD_VARIANTS = {
@@ -69,13 +68,8 @@ def pearson_baseline(dataset: LabeledDataset, m: int | None = None) -> tuple[int
     X = np.asarray(dataset.X, dtype=np.float64)
     if m is not None and not (1 <= m <= X.shape[1]):
         raise InvalidParameterError(f"m={m} out of range for d={X.shape[1]}")
-    if dataset.task == "classification":
-        labels, classes = canonical_class_labels(dataset.y)
-        Y = one_hot(labels, len(classes))
-    else:
-        Y = np.asarray(dataset.y, dtype=np.float64)[:, None]
+    Yc = dataset_response(dataset)
     Xc = X - X.mean(axis=0)
-    Yc = Y - Y.mean(axis=0)
     xnorm = np.sqrt(np.sum(Xc * Xc, axis=0))
     ynorm = np.sqrt(np.sum(Yc * Yc, axis=0))
     denom = np.outer(xnorm, ynorm)
@@ -191,15 +185,7 @@ def run_benchmark(kind: str, sizes=DEFAULT_SIZES, trials: int = 10,
             raise InvalidParameterError(f"unknown method {method!r}")
     if epsilon is None:
         epsilon = EPSILON_BY_TASK[TASK_BY_KIND[kind]]
-    optimizer_dict = None
-    if optimizer_config is not None:
-        optimizer_dict = {
-            "max_iters": optimizer_config.max_iters,
-            "rel_tol": optimizer_config.rel_tol,
-            "armijo_beta": optimizer_config.armijo_beta,
-            "armijo_c": optimizer_config.armijo_c,
-            "init_step": optimizer_config.init_step,
-        }
+    optimizer_dict = None if optimizer_config is None else asdict(optimizer_config)
     payloads = [
         (kind, size, trial, methods, epsilon, master_seed, optimizer_dict,
          objective_overrides or {})

@@ -1,4 +1,4 @@
-"""Kernel evaluation on weighted inputs, Gram centering, centred responses.
+"""Kernel evaluation on weighted inputs, Gram centering, one-hot encoding.
 
 The input kernel acts on coordinate-weighted points w ⊙ x, so a Gaussian
 entry is exp(-sum_l w_l^2 (x_il - x_jl)^2 / (2 sigma^2)) and a binary weight
@@ -7,8 +7,8 @@ vector reproduces plain subset selection.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -21,7 +21,6 @@ from .errors import (
 )
 
 INPUT_KERNELS = ("gaussian", "linear")
-RESPONSE_KERNELS = ("linear", "one_hot_delta")
 
 # Above this sample count the bandwidth heuristic works on a seeded subsample.
 MEDIAN_HEURISTIC_MAX_POINTS = 5000
@@ -29,31 +28,20 @@ MEDIAN_HEURISTIC_MAX_POINTS = 5000
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Input/response kernel choice with their parameters.
+    """Input kernel choice with its bandwidth.
 
     input_kernel: "gaussian" (requires bandwidth > 0) or "linear".
-    response_kernel: "linear" for real responses, "one_hot_delta" for
-    class labels (requires num_classes >= 2).
     """
 
     input_kernel: str = "gaussian"
     bandwidth: float | None = None
-    response_kernel: str = "linear"
-    num_classes: int | None = None
 
     def __post_init__(self):
         if self.input_kernel not in INPUT_KERNELS:
             raise InvalidParameterError(f"unknown input kernel {self.input_kernel!r}")
-        if self.response_kernel not in RESPONSE_KERNELS:
-            raise InvalidParameterError(
-                f"unknown response kernel {self.response_kernel!r}"
-            )
         if self.input_kernel == "gaussian":
             if self.bandwidth is None or not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
                 raise InvalidParameterError("gaussian kernel requires bandwidth > 0")
-        if self.response_kernel == "one_hot_delta":
-            if self.num_classes is None or self.num_classes < 2:
-                raise InvalidParameterError("one_hot_delta requires num_classes >= 2")
 
 
 @dataclass(frozen=True)
@@ -66,12 +54,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-class ResponseData(NamedTuple):
-    """Centered response matrix Y (n x k); its Gram Y Y^T is never formed."""
-
-    y_mat: np.ndarray
 
 
 def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -90,6 +72,13 @@ def _check_weights(w: np.ndarray, d: int) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise InvalidDataError("weight vector contains non-finite entries")
     return w
+
+
+def _check_integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _symmetrize(K: np.ndarray) -> np.ndarray:
@@ -179,29 +168,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     Y = np.zeros((labels.shape[0], num_classes))
     Y[np.arange(labels.shape[0]), labels] = 1.0
     return Y
-
-
-def centered_response(y: np.ndarray, spec: KernelSpec) -> ResponseData:
-    """Build the centered response matrix Y (n x k), the factor of G_Y = Y Y^T.
-
-    Real responses use the linear kernel on the response directly; class
-    labels are one-hot encoded first (the delta kernel is the linear kernel
-    on one-hot vectors). Columns of Y are centered to exact zero mean, which
-    makes G_Y centered by construction. The objectives read only Y, so the
-    n x n response Gram is not built.
-    """
-    y = np.asarray(y)
-    if spec.response_kernel == "linear":
-        Y = np.asarray(y, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if Y.ndim != 2:
-            raise InvalidDataError("response must be a vector or 2-d array")
-        if not np.all(np.isfinite(Y)):
-            raise InvalidDataError("response contains non-finite entries")
-    else:
-        Y = one_hot(y, spec.num_classes)
-    return ResponseData(center_rows(Y))
 
 
 def median_bandwidth(X: np.ndarray, *, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS,

@@ -24,7 +24,8 @@ from .errors import InvalidDataError, InvalidParameterError, NumericalError
 from .kernels import (
     GramMatrix,
     KernelSpec,
-    ResponseData,
+    _check_integer,
+    _check_weights,
     center,
     center_rows,
     weighted_gaussian_gram,
@@ -59,13 +60,13 @@ class ObjectiveConfig:
             raise InvalidParameterError(f"unknown objective variant {self.variant!r}")
         if not np.isfinite(self.epsilon) or self.epsilon <= 0:
             raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.m < 1:
+        if _check_integer(self.m, "m") < 1:
             raise InvalidParameterError(f"m must be >= 1, got {self.m}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise InvalidParameterError("lambda1 and lambda2 must be nonnegative")
-        if self.num_random_features < 1:
+        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
+            raise InvalidParameterError("lambda1 and lambda2 must be finite and nonnegative")
+        if _check_integer(self.num_random_features, "num_random_features") < 1:
             raise InvalidParameterError("num_random_features must be >= 1")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= _check_integer(self.seed, "seed") < 2**64):
             raise InvalidParameterError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -83,15 +84,6 @@ class ObjectiveValue:
         for g in (self.gradient_w, self.gradient_alpha):
             if g is not None and not np.all(np.isfinite(g)):
                 raise NumericalError("objective gradient has non-finite entries")
-
-
-def _as_weights(w: np.ndarray, d: int) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if w.shape[0] != d:
-        raise InvalidDataError(f"weight vector has length {w.shape[0]}, expected {d}")
-    if not np.all(np.isfinite(w)):
-        raise InvalidDataError("weight vector contains non-finite entries")
-    return w
 
 
 def _input_grams(X: np.ndarray, w: np.ndarray, kernel: KernelSpec):
@@ -130,7 +122,7 @@ def _dk_contraction(K: GramMatrix, M: np.ndarray, X: np.ndarray, w: np.ndarray,
     return 2.0 * w * np.sum(X * MX, axis=0)
 
 
-def exact_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
+def exact_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
                     cfg: ObjectiveConfig, kernel: KernelSpec, *,
                     compute_gradient: bool = True) -> ObjectiveValue:
     """Q(w) = Tr[Y^T (G_w + n eps I)^(-1) Y] via a Cholesky solve.
@@ -143,9 +135,8 @@ def exact_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
     which costs O(n^2 d) for all coordinates together.
     """
     X = np.asarray(X, dtype=np.float64)
-    w = _as_weights(w, X.shape[1])
+    w = _check_weights(w, X.shape[1])
     n = X.shape[0]
-    Y = response.y_mat
     K, G = _input_grams(X, w, kernel)
     factor, _ = _factor_ridge(G.entries, n, cfg.epsilon)
     B = cho_solve(factor, Y, check_finite=False)
@@ -158,13 +149,13 @@ def exact_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
     return ObjectiveValue(value, gradient_w=grad)
 
 
-def soft_penalty_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
+def soft_penalty_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
                            cfg: ObjectiveConfig, kernel: KernelSpec, *,
                            compute_gradient: bool = True) -> ObjectiveValue:
     """Exact objective plus the soft cardinality penalty lambda1 (1^T w - m)."""
-    base = exact_objective(X, response, w, cfg, kernel,
+    base = exact_objective(X, Y, w, cfg, kernel,
                            compute_gradient=compute_gradient)
-    w = _as_weights(w, np.asarray(X).shape[1])
+    w = _check_weights(w, np.asarray(X).shape[1])
     value = base.value + cfg.lambda1 * (float(w.sum()) - cfg.m)
     grad = None
     if compute_gradient:
@@ -186,7 +177,7 @@ def _promote_alpha(alpha: np.ndarray, n: int, k: int):
     return alpha, squeeze
 
 
-def alpha_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
+def alpha_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
                     alpha: np.ndarray, cfg: ObjectiveConfig, kernel: KernelSpec, *,
                     compute_gradient: bool = True,
                     with_cardinality_penalty: bool = False) -> ObjectiveValue:
@@ -200,9 +191,8 @@ def alpha_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
     the sum cap can be dropped from the feasible set.
     """
     X = np.asarray(X, dtype=np.float64)
-    w = _as_weights(w, X.shape[1])
+    w = _check_weights(w, X.shape[1])
     n = X.shape[0]
-    Y = response.y_mat
     alpha2, squeeze = _promote_alpha(alpha, n, Y.shape[1])
     K, G = _input_grams(X, w, kernel)
     ne = n * cfg.epsilon
@@ -225,7 +215,7 @@ def alpha_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
     return ObjectiveValue(value, gradient_w=grad_w, gradient_alpha=grad_alpha)
 
 
-def solve_alpha(X: np.ndarray, response: ResponseData, w: np.ndarray,
+def solve_alpha(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
                 cfg: ObjectiveConfig, kernel: KernelSpec) -> np.ndarray:
     """Minimizer of the alpha objective over alpha at fixed w.
 
@@ -236,9 +226,8 @@ def solve_alpha(X: np.ndarray, response: ResponseData, w: np.ndarray,
     if cfg.lambda2 <= 0:
         raise InvalidParameterError("alpha solve requires lambda2 > 0")
     X = np.asarray(X, dtype=np.float64)
-    w = _as_weights(w, X.shape[1])
+    w = _check_weights(w, X.shape[1])
     n = X.shape[0]
-    Y = response.y_mat
     _, G = _input_grams(X, w, kernel)
     factor, _ = _factor_ridge(G.entries, n, cfg.epsilon)
     z1 = cho_solve(factor, Y, check_finite=False)
@@ -249,7 +238,7 @@ def solve_alpha(X: np.ndarray, response: ResponseData, w: np.ndarray,
     return alpha
 
 
-def low_rank_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
+def low_rank_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
                        cfg: ObjectiveConfig, features, *,
                        compute_gradient: bool = True) -> ObjectiveValue:
     """Rescaled objective through a rank-D feature factorization.
@@ -265,9 +254,8 @@ def low_rank_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
     is a deterministic function of w.
     """
     X = np.asarray(X, dtype=np.float64)
-    w = _as_weights(w, X.shape[1])
+    w = _check_weights(w, X.shape[1])
     n = X.shape[0]
-    Y = response.y_mat
     V = features.centered_embed(X, w)
     D = V.shape[1]
     ne = n * cfg.epsilon
@@ -295,8 +283,7 @@ def low_rank_objective(X: np.ndarray, response: ResponseData, w: np.ndarray,
     return ObjectiveValue(value, gradient_w=grad)
 
 
-def low_rank_equivalent_value(core_value: float, response: ResponseData,
+def low_rank_equivalent_value(core_value: float, Y: np.ndarray,
                               epsilon: float, n: int) -> float:
     """Undo the low-rank rescaling: (||Y||_F^2 + core) / (n eps) estimates Q."""
-    Y = response.y_mat
     return (float(np.sum(Y * Y)) + core_value) / (n * epsilon)

@@ -15,7 +15,14 @@ import numpy as np
 
 from .dataio import LabeledDataset, canonical_class_labels
 from .errors import InvalidDataError, InvalidParameterError
-from .kernels import KernelSpec, ResponseData, centered_response, median_bandwidth
+from .kernels import (
+    KernelSpec,
+    _check_integer,
+    _check_matrix,
+    center_rows,
+    median_bandwidth,
+    one_hot,
+)
 from .objective import (
     ObjectiveConfig,
     alpha_objective,
@@ -61,7 +68,7 @@ class OptimizerConfig:
     init_step: float = 1.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _check_integer(self.max_iters, "max_iters") < 1:
             raise InvalidParameterError("max_iters must be >= 1")
         if not (self.rel_tol > 0):
             raise InvalidParameterError("rel_tol must be positive")
@@ -146,15 +153,31 @@ def ranking_from_weights(w: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) for j in np.argsort(-w, kind="stable"))
 
 
-def dataset_response(dataset: LabeledDataset) -> ResponseData:
-    """Centered response matrix for a dataset (one-hot for classification)."""
+def dataset_response(dataset: LabeledDataset) -> np.ndarray:
+    """Centered response matrix Y (n x k): one-hot classes or the response itself.
+
+    The delta kernel on class labels is the linear kernel on one-hot vectors,
+    and centered columns make G_Y = Y Y^T centered; G_Y is never formed.
+    """
     if dataset.task == "classification":
         labels, classes = canonical_class_labels(dataset.y)
-        spec = KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
-                          num_classes=len(classes))
-        return centered_response(labels, spec)
-    spec = KernelSpec(input_kernel="linear", response_kernel="linear")
-    return centered_response(np.asarray(dataset.y, dtype=np.float64), spec)
+        if len(classes) < 2:
+            raise InvalidParameterError(
+                f"classification needs at least two classes, got {len(classes)}")
+        Y = one_hot(labels, len(classes))
+    else:
+        y = np.asarray(dataset.y, dtype=np.float64)
+        Y = _check_matrix(y[:, None] if y.ndim == 1 else y, "response")
+    return center_rows(Y)
+
+
+def _prepare(dataset: LabeledDataset, sigma: float | None, input_kernel: str):
+    """Checked X, centered Y and validated input kernel; sigma defaults to the median heuristic."""
+    X = _check_matrix(dataset.X)
+    if input_kernel == "gaussian" and sigma is None:
+        sigma = median_bandwidth(X)
+    kernel = KernelSpec(input_kernel=input_kernel, bandwidth=sigma)
+    return X, dataset_response(dataset), kernel
 
 
 def _initial_weights(d: int, cfg: ObjectiveConfig, projector, w0, perturbation: float):
@@ -225,24 +248,14 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
     inputs and seeds reproduce the result bit for bit.
     """
     opt = opt or OptimizerConfig()
-    X = np.asarray(dataset.X, dtype=np.float64)
-    n, d = X.shape
-    if not np.all(np.isfinite(X)):
-        raise InvalidDataError("feature matrix contains non-finite entries")
-    if cfg.m > d:
-        raise InvalidParameterError(f"m={cfg.m} exceeds the feature count {d}")
+    if cfg.m > dataset.d:
+        raise InvalidParameterError(f"m={cfg.m} exceeds the feature count {dataset.d}")
     if not (0.0 <= init_perturbation <= MAX_INIT_PERTURBATION):
         raise InvalidParameterError(
             f"init perturbation must lie in [0, {MAX_INIT_PERTURBATION}]")
-    if input_kernel == "gaussian" and sigma is None:
-        sigma = median_bandwidth(X)
-    response = dataset_response(dataset)
-    kernel = KernelSpec(
-        input_kernel=input_kernel,
-        bandwidth=sigma,
-        response_kernel="one_hot_delta" if dataset.task == "classification" else "linear",
-        num_classes=response.y_mat.shape[1] if dataset.task == "classification" else None,
-    )
+    X, Y, kernel = _prepare(dataset, sigma, input_kernel)
+    n, d = X.shape
+    classification = dataset.task == "classification"
 
     box_only = cfg.variant == "soft_penalty" or (
         cfg.variant == "alpha" and alpha_soft_cardinality)
@@ -254,7 +267,7 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
     feature_map = None
     if cfg.variant == "low_rank":
         if input_kernel == "gaussian":
-            feature_map = draw_map(d, cfg.num_random_features, sigma, cfg.seed)
+            feature_map = draw_map(d, cfg.num_random_features, kernel.bandwidth, cfg.seed)
         else:
             feature_map = LinearFeatureMap(d)
 
@@ -262,15 +275,15 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
 
     if cfg.variant == "alpha":
         w, trace, converged, iterations = _descend_alpha(
-            X, response, w, cfg, kernel, projector, opt,
+            X, Y, w, cfg, kernel, projector, opt,
             soft_cardinality=alpha_soft_cardinality)
     else:
         if cfg.variant == "exact":
-            evaluate = lambda wv: exact_objective(X, response, wv, cfg, kernel)  # noqa: E731
+            evaluate = lambda wv: exact_objective(X, Y, wv, cfg, kernel)  # noqa: E731
         elif cfg.variant == "soft_penalty":
-            evaluate = lambda wv: soft_penalty_objective(X, response, wv, cfg, kernel)  # noqa: E731
+            evaluate = lambda wv: soft_penalty_objective(X, Y, wv, cfg, kernel)  # noqa: E731
         else:
-            evaluate = lambda wv: low_rank_objective(X, response, wv, cfg, feature_map)  # noqa: E731
+            evaluate = lambda wv: low_rank_objective(X, Y, wv, cfg, feature_map)  # noqa: E731
         w, trace, converged, iterations = _descend(w, evaluate, projector, opt)
 
     # The descent's last value was taken at the final w, so only the alpha
@@ -280,9 +293,9 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
     elif cfg.variant == "soft_penalty":
         q_final = trace[-1] - cfg.lambda1 * (float(w.sum()) - cfg.m)
     elif cfg.variant == "low_rank":
-        q_final = low_rank_equivalent_value(trace[-1], response, cfg.epsilon, n)
+        q_final = low_rank_equivalent_value(trace[-1], Y, cfg.epsilon, n)
     else:
-        q_final = exact_objective(X, response, w, cfg, kernel,
+        q_final = exact_objective(X, Y, w, cfg, kernel,
                                   compute_gradient=False).value
     trace_estimate = cfg.epsilon * q_final
 
@@ -293,7 +306,7 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
         selected=round_to_subset(w, cfg.m),
         objective_trace=trace,
         trace_estimate=float(trace_estimate),
-        sigma=float(sigma) if sigma is not None else float("nan"),
+        sigma=float("nan") if kernel.bandwidth is None else float(kernel.bandwidth),
         converged=converged,
         iterations=iterations,
         seed=cfg.seed,
@@ -301,8 +314,8 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
             "objective": asdict(cfg),
             "optimizer": asdict(opt),
             "input_kernel": input_kernel,
-            "response_kernel": kernel.response_kernel,
-            "num_classes": kernel.num_classes,
+            "response_kernel": "one_hot_delta" if classification else "linear",
+            "num_classes": Y.shape[1] if classification else None,
             "init_perturbation": init_perturbation,
             "alpha_soft_cardinality": alpha_soft_cardinality,
         },
@@ -310,18 +323,18 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
     return result
 
 
-def _descend_alpha(X, response, w, cfg, kernel, projector, opt: OptimizerConfig,
+def _descend_alpha(X, Y, w, cfg, kernel, projector, opt: OptimizerConfig,
                    soft_cardinality: bool = False):
     """Block descent: exact alpha solve, then a projected Armijo w-step."""
     if cfg.lambda2 <= 0:
         raise InvalidParameterError("alpha variant requires lambda2 > 0")
 
     def evaluate(wv, al, need_grad=True):
-        return alpha_objective(X, response, wv, al, cfg, kernel,
+        return alpha_objective(X, Y, wv, al, cfg, kernel,
                                compute_gradient=need_grad,
                                with_cardinality_penalty=soft_cardinality)
 
-    alpha = solve_alpha(X, response, w, cfg, kernel)
+    alpha = solve_alpha(X, Y, w, cfg, kernel)
     current = evaluate(w, alpha)
     trace = [current.value]
     step = opt.init_step
@@ -343,7 +356,7 @@ def _descend_alpha(X, response, w, cfg, kernel, projector, opt: OptimizerConfig,
             break
         iterations += 1
         w_new, s = accepted
-        alpha = solve_alpha(X, response, w_new, cfg, kernel)
+        alpha = solve_alpha(X, Y, w_new, cfg, kernel)
         new_eval = evaluate(w_new, alpha)
         decrease = current.value - new_eval.value
         rel = decrease / max(abs(current.value), 1e-300)

@@ -15,8 +15,8 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .dataio import LabeledDataset
 from .errors import InvalidParameterError, NumericalError, SubsetGuardError
-from .kernels import INPUT_KERNELS, _check_matrix, center_in_place, median_bandwidth
-from .optimizer import dataset_response
+from .kernels import _check_integer, center_in_place
+from .optimizer import _prepare
 
 SUBSET_GUARD = 10**6
 
@@ -43,21 +43,15 @@ class _SubsetScorer:
 
     def __init__(self, dataset: LabeledDataset, m: int, epsilon: float,
                  sigma: float | None, input_kernel: str):
-        X = _check_matrix(dataset.X)
-        if input_kernel not in INPUT_KERNELS:
-            raise InvalidParameterError(f"unknown input kernel {input_kernel!r}")
         if not np.isfinite(epsilon) or epsilon <= 0:
             raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
-        self.gaussian = input_kernel == "gaussian"
+        X, Y, kernel = _prepare(dataset, sigma, input_kernel)
+        self.gaussian = kernel.input_kernel == "gaussian"
         if self.gaussian:
-            if sigma is None:
-                sigma = median_bandwidth(X)
-            if not np.isfinite(sigma) or sigma <= 0:
-                raise InvalidParameterError("gaussian kernel requires bandwidth > 0")
             # Columns scaled so that a term (z_il - z_jl)^2 carries the 1/(2 sigma^2).
-            X = X / (math.sqrt(2.0) * sigma)
+            X = X / (math.sqrt(2.0) * kernel.bandwidth)
         self.columns = np.ascontiguousarray(X.T)
-        self.y_mat = np.asfortranarray(dataset_response(dataset).y_mat)
+        self.y_mat = np.asfortranarray(Y)
         n = X.shape[0]
         self.ridge = n * epsilon
         self.prefix = [np.empty((n, n)) for _ in range(m - 1)]
@@ -141,7 +135,7 @@ def exhaustive_argmin(dataset: LabeledDataset, m: int, epsilon: float, *,
     the guard.
     """
     d = dataset.d
-    if not (1 <= m <= d):
+    if not (1 <= _check_integer(m, "m") <= d):
         raise InvalidParameterError(f"m must lie in [1, {d}], got {m}")
     count = math.comb(d, m)
     if count > guard:

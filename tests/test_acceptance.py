@@ -75,7 +75,7 @@ def test_criterion_1_gradient_correctness():
                               lambda2=10.0, num_random_features=32,
                               seed=seed)
         fmap = draw_map(d, 32, sigma, seed=seed)
-        alpha = rng.standard_normal(resp.y_mat.shape)
+        alpha = rng.standard_normal(resp.shape)
 
         checks = {
             "exact": (

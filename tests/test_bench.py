@@ -8,7 +8,7 @@ from ccselect.bench import (
     run_benchmark,
 )
 from ccselect.dataio import LabeledDataset
-from ccselect.errors import InvalidParameterError
+from ccselect.errors import InvalidDataError, InvalidParameterError
 from ccselect.synthdata import gen_xor_4class
 
 
@@ -73,6 +73,15 @@ def test_pearson_classification_uses_one_hot_columns():
     X[:, 2] += 2.0 * (labels == 1)  # informative about one class only
     ds = LabeledDataset(X, labels, "classification", num_classes=3)
     assert pearson_baseline(ds)[0] == 2
+
+
+def test_pearson_rejects_non_finite_response():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((20, 3))
+    y = X[:, 0].copy()
+    y[4] = np.nan
+    with pytest.raises(InvalidDataError):
+        pearson_baseline(LabeledDataset(X, y, "regression"))
 
 
 def test_run_benchmark_small_and_deterministic():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccselect.dataio import LabeledDataset
 from ccselect.errors import (
     DegenerateDataError,
     InvalidDataError,
@@ -10,11 +11,16 @@ from ccselect.errors import (
 from ccselect.kernels import (
     KernelSpec,
     center,
-    centered_response,
     median_bandwidth,
+    one_hot,
     weighted_gaussian_gram,
     weighted_linear_gram,
 )
+from ccselect.optimizer import dataset_response
+
+
+def _response(y, task):
+    return dataset_response(LabeledDataset(np.zeros((len(y), 1)), y, task))
 
 
 def test_gram_identical_points_give_unit_entry():
@@ -144,24 +150,20 @@ def test_center_is_idempotent():
 
 
 def test_response_gram_regression():
-    spec = KernelSpec(input_kernel="linear", response_kernel="linear")
-    (Y,) = centered_response(np.array([1.0, -1.0]), spec)
+    Y = _response(np.array([1.0, -1.0]), "regression")
     assert np.allclose(Y, np.array([[1.0], [-1.0]]))
     assert np.allclose(Y @ Y.T, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_response_gram_one_hot_binary():
-    spec = KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
-                      num_classes=2)
-    (Y,) = centered_response(np.array([0, 1]), spec)
+    Y = _response(np.array([0, 1]), "classification")
     # one-hot rows (1,0), (0,1) centered column-wise
     assert np.allclose(Y, np.array([[0.5, -0.5], [-0.5, 0.5]]))
     assert np.allclose(Y @ Y.T, np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
 
 def test_response_gram_constant_response_is_zero():
-    spec = KernelSpec(input_kernel="linear", response_kernel="linear")
-    (Y,) = centered_response(np.full(5, 3.7), spec)
+    Y = _response(np.full(5, 3.7), "regression")
     assert np.max(np.abs(Y)) == 0.0
 
 
@@ -169,9 +171,7 @@ def test_response_gram_is_already_centered():
     from ccselect.kernels import GramMatrix
 
     rng = np.random.default_rng(7)
-    spec = KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
-                      num_classes=3)
-    (Y,) = centered_response(rng.integers(0, 3, 20), spec)
+    Y = _response(rng.integers(0, 3, 20), "classification")
     assert np.max(np.abs(Y.mean(axis=0))) <= 1e-15
     G = Y @ Y.T
     recentered = center(GramMatrix(G, centered=False))
@@ -179,18 +179,15 @@ def test_response_gram_is_already_centered():
 
 
 def test_response_gram_label_out_of_range():
-    spec = KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
-                      num_classes=2)
     with pytest.raises(InvalidLabelError):
-        centered_response(np.array([0, 2]), spec)
+        one_hot(np.array([0, 2]), 2)
 
 
 def test_kernel_spec_validation():
     with pytest.raises(InvalidParameterError):
         KernelSpec(input_kernel="gaussian", bandwidth=-1.0)
     with pytest.raises(InvalidParameterError):
-        KernelSpec(input_kernel="linear", response_kernel="one_hot_delta",
-                   num_classes=1)
+        _response(np.array([3, 3, 3]), "classification")
     with pytest.raises(InvalidParameterError):
         KernelSpec(input_kernel="cubic", bandwidth=1.0)
 

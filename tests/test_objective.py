@@ -35,7 +35,7 @@ def test_exact_objective_zero_weights_closed_form():
     n = X.shape[0]
     cfg = ObjectiveConfig(epsilon=0.3, m=2)
     value = exact_objective(X, resp, np.zeros(X.shape[1]), cfg, GAUSS).value
-    expected = float(np.sum(resp.y_mat**2)) / (n * cfg.epsilon)
+    expected = float(np.sum(resp**2)) / (n * cfg.epsilon)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_alpha_objective_at_exact_inverse_matches_exact_value():
 
     G = center(weighted_gaussian_gram(X, w, GAUSS.bandwidth)).entries
     A = G + n * cfg.epsilon * np.eye(n)
-    alpha = np.linalg.solve(A, resp.y_mat[:, 0])
+    alpha = np.linalg.solve(A, resp[:, 0])
     value = alpha_objective(X, resp, w, alpha, cfg, GAUSS).value
     exact = exact_objective(X, resp, w, cfg, GAUSS).value
     assert value == pytest.approx(exact, rel=1e-10)
@@ -152,7 +152,7 @@ def test_alpha_objective_at_zero_alpha():
     cfg = ObjectiveConfig(epsilon=0.2, m=3, lambda2=7.0)
     w = np.full(6, 0.5)
     value = alpha_objective(X, resp, w, np.zeros(X.shape[0]), cfg, GAUSS).value
-    assert value == pytest.approx(cfg.lambda2 * float(np.sum(resp.y_mat**2)),
+    assert value == pytest.approx(cfg.lambda2 * float(np.sum(resp**2)),
                                   rel=1e-12)
 
 
@@ -230,7 +230,7 @@ def test_low_rank_gradient_matches_finite_differences_three_classes(features):
     X = rng.standard_normal((n, d))
     resp = dataset_response(
         LabeledDataset(X, rng.integers(0, 3, n), "classification"))
-    assert resp.y_mat.shape == (n, 3)
+    assert resp.shape == (n, 3)
     fmap = {
         "narrow": draw_map(d, 8, 1.5, seed=8),
         "wide": draw_map(d, 40, 1.5, seed=9),
@@ -254,7 +254,7 @@ def test_low_rank_wide_map_uses_identical_mathematics():
     core = low_rank_objective(X, resp, w, cfg, fmap, compute_gradient=False).value
     V = fmap.centered_embed(X, w)
     E = V.T @ V + 12 * cfg.epsilon * np.eye(64)
-    T = V.T @ resp.y_mat
+    T = V.T @ resp
     direct = -float(np.sum(T * np.linalg.solve(E, T)))
     assert core == pytest.approx(direct, rel=1e-10)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ccselect.optimizer import (
     ranking_from_weights,
     round_to_subset,
 )
+from ccselect.oracle import exhaustive_argmin
 from ccselect.random_features import draw_map
 
 
@@ -98,6 +100,32 @@ def make_linear_dataset(n, d, seed, noise=0.0):
     X = rng.standard_normal((n, d))
     y = X[:, 0] + noise * rng.standard_normal(n)
     return LabeledDataset(X, y, "regression")
+
+
+def _exhaustive_with_m(m):
+    return exhaustive_argmin(make_linear_dataset(12, 4, 9), m, 0.1)
+
+
+_NON_INTEGER_COUNTS_AND_NON_FINITE_PENALTIES = {
+    "m=4.0": partial(ObjectiveConfig, epsilon=0.1, m=4.0),
+    "m=2.5": partial(ObjectiveConfig, epsilon=0.1, m=2.5),
+    "num_random_features=8.5": partial(ObjectiveConfig, epsilon=0.1, m=2,
+                                       num_random_features=8.5),
+    "seed=1.5": partial(ObjectiveConfig, epsilon=0.1, m=2, variant="low_rank", seed=1.5),
+    "lambda1=nan": partial(ObjectiveConfig, epsilon=0.1, m=2, lambda1=float("nan")),
+    "lambda1=inf": partial(ObjectiveConfig, epsilon=0.1, m=2, lambda1=float("inf")),
+    "lambda2=nan": partial(ObjectiveConfig, epsilon=0.1, m=2, lambda2=float("nan")),
+    "lambda2=inf": partial(ObjectiveConfig, epsilon=0.1, m=2, lambda2=float("inf")),
+    "max_iters=2.5": partial(OptimizerConfig, max_iters=2.5),
+    "exhaustive m=2.0": partial(_exhaustive_with_m, 2.0),
+}
+
+
+@pytest.mark.parametrize("build", _NON_INTEGER_COUNTS_AND_NON_FINITE_PENALTIES.values(),
+                         ids=_NON_INTEGER_COUNTS_AND_NON_FINITE_PENALTIES.keys())
+def test_non_integer_counts_and_non_finite_penalties_are_rejected_up_front(build):
+    with pytest.raises(InvalidParameterError):
+        build()
 
 
 def test_optimize_recovers_single_linear_feature():

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from ccselect.dataio import LabeledDataset
-from ccselect.errors import InvalidDataError, InvalidParameterError, SubsetGuardError
+from ccselect.errors import (
+    InvalidDataError,
+    InvalidParameterError,
+    SelectionError,
+    SubsetGuardError,
+)
 from ccselect.kernels import KernelSpec, median_bandwidth
 from ccselect.objective import ObjectiveConfig, exact_objective
-from ccselect.optimizer import dataset_response
+from ccselect.optimizer import dataset_response, optimize
 from ccselect.oracle import exhaustive_argmin, subset_score
 from ccselect.synthdata import gen_additive_regression, gen_xor_4class
 
@@ -114,6 +119,45 @@ def test_bad_arguments_raise_typed_errors(entry_point, bad, error):
             exhaustive_argmin(ds, 2, epsilon, **kwargs)
         else:
             subset_score(ds, (0, 1), epsilon, **kwargs)
+
+
+def _dataset_with_fault(fault):
+    ds = make_linear_dataset(12, 4, 9)
+    X, y, task = ds.X.copy(), ds.y.copy(), "regression"
+    if fault == "nan_in_x":
+        X[2, 1] = np.nan
+    elif fault == "nan_in_y":
+        y[3] = np.nan
+    elif fault == "single_class":
+        y, task = np.full(12, 7), "classification"
+    return LabeledDataset(X, y, task)
+
+
+_ENTRY_POINTS = {
+    "optimize": lambda ds, kw: optimize(ds, ObjectiveConfig(epsilon=0.1, m=2), **kw),
+    "subset_score": lambda ds, kw: subset_score(ds, (0, 1), 0.1, **kw),
+    "exhaustive_argmin": lambda ds, kw: exhaustive_argmin(ds, 2, 0.1, **kw),
+}
+
+
+@pytest.mark.parametrize("fault,kwargs,error", [
+    ("nan_in_x", {}, InvalidDataError),
+    ("nan_in_y", {}, InvalidDataError),
+    ("single_class", {}, InvalidParameterError),
+    (None, {"sigma": 0.0}, InvalidParameterError),
+    (None, {"sigma": -1.0}, InvalidParameterError),
+    (None, {"sigma": float("nan")}, InvalidParameterError),
+    (None, {"sigma": float("inf")}, InvalidParameterError),
+    (None, {"input_kernel": "cubic"}, InvalidParameterError),
+])
+def test_entry_points_raise_the_same_error_class(fault, kwargs, error):
+    ds = _dataset_with_fault(fault)
+    raised = {}
+    for name, call in _ENTRY_POINTS.items():
+        with pytest.raises(SelectionError) as info:
+            call(ds, kwargs)
+        raised[name] = type(info.value)
+    assert raised == dict.fromkeys(_ENTRY_POINTS, error)
 
 
 @pytest.mark.parametrize("subset", [(0, 7), (5,), (-1,), (1, 1), (), (0.5,), (1.0, 2), 3])
