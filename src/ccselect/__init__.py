@@ -2,8 +2,8 @@
 
 Selects the m most predictive features by optimizing continuously relaxed
 feature weights against the regularized quadratic form
-Tr[Y^T (G_w + n*eps*I)^(-1) Y], with exact, soft-penalty, auxiliary-variable
-and low-rank (random Fourier feature) objective variants.
+Tr[Y^T (G_w + n*eps*I)^(-1) Y], with exact, soft-penalty and low-rank
+(random Fourier feature) objective variants.
 """
 
 __version__ = "0.1.0"
@@ -45,12 +45,10 @@ from .kernels import (
 from .objective import (
     ObjectiveConfig,
     ObjectiveValue,
-    alpha_objective,
     exact_objective,
     low_rank_equivalent_value,
     low_rank_objective,
     soft_penalty_objective,
-    solve_alpha,
 )
 from .optimizer import (
     FeatureWeights,
@@ -88,9 +86,9 @@ __all__ = [
     "SelectionError", "SubsetGuardError",
     "GramMatrix", "KernelSpec", "center", "median_bandwidth",
     "weighted_gaussian_gram", "weighted_linear_gram",
-    "ObjectiveConfig", "ObjectiveValue", "alpha_objective", "exact_objective",
+    "ObjectiveConfig", "ObjectiveValue", "exact_objective",
     "low_rank_equivalent_value", "low_rank_objective",
-    "soft_penalty_objective", "solve_alpha",
+    "soft_penalty_objective",
     "FeatureWeights", "OptimizerConfig", "SelectionResult",
     "dataset_response", "optimize", "project", "ranking_from_weights",
     "round_to_subset",

@@ -26,7 +26,6 @@ from .synthdata import KINDS, generate
 METHOD_VARIANTS = {
     "ccm-exact": "exact",
     "ccm-soft": "soft_penalty",
-    "ccm-alpha": "alpha",
     "ccm-lowrank": "low_rank",
 }
 METHODS = tuple(METHOD_VARIANTS) + ("pearson",)

@@ -34,7 +34,6 @@ EXIT_NUMERICAL = 3
 VARIANT_ALIASES = {
     "exact": "exact",
     "soft": "soft_penalty",
-    "alpha": "alpha",
     "lowrank": "low_rank",
 }
 TASK_ALIASES = {
@@ -79,14 +78,14 @@ def _cmd_select(args) -> int:
         epsilon = EPSILON_BY_TASK[dataset.task]
     cfg = ObjectiveConfig(
         epsilon=epsilon, m=args.m, variant=VARIANT_ALIASES[args.variant],
-        lambda1=args.lambda1, lambda2=args.lambda2,
+        lambda1=args.lambda1,
         num_random_features=args.rff_dim, seed=args.seed,
     )
     opt = OptimizerConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
     _print_config("select", {
         "input": args.input, "task": dataset.task, "n": dataset.n, "d": dataset.d,
         "m": args.m, "variant": cfg.variant, "epsilon": cfg.epsilon,
-        "lambda1": cfg.lambda1, "lambda2": cfg.lambda2,
+        "lambda1": cfg.lambda1,
         "rff_dim": cfg.num_random_features, "sigma": sigma,
         "standardize": args.standardize, "seed": cfg.seed,
         "init_perturbation": args.perturb_init,
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--epsilon", type=float, default=None,
                        help="ridge level (default: 0.001 classification, 0.1 regression)")
     p_sel.add_argument("--lambda1", type=float, default=1.0)
-    p_sel.add_argument("--lambda2", type=float, default=1000.0)
     p_sel.add_argument("--rff-dim", type=int, default=2048)
     p_sel.add_argument("--seed", type=int, default=0)
     p_sel.add_argument("--sigma", type=float, default=None,

@@ -18,6 +18,7 @@ from .errors import (
     CsvParseError,
     DegenerateDataError,
     InvalidDataError,
+    InvalidLabelError,
     InvalidParameterError,
 )
 
@@ -83,12 +84,15 @@ def canonical_class_labels(y) -> tuple[np.ndarray, list]:
     """Map arbitrary class values to {0, ..., k-1} by first appearance.
 
     Returns the integer labels and the class values in class-index order.
+    A NaN label raises: NaN equals no class, not even another NaN.
     """
     labels = np.empty(len(y), dtype=np.int64)
     classes: list = []
     index: dict = {}
     for i, v in enumerate(y):
         key = v.item() if isinstance(v, np.generic) else v
+        if isinstance(key, float) and key != key:
+            raise InvalidLabelError(f"class label at position {i} is NaN")
         if key not in index:
             index[key] = len(classes)
             classes.append(key)

@@ -7,10 +7,8 @@ quadratic form
 
 where G_w is the centered Gram matrix of the weighted inputs and Y the
 centered response matrix. ``exact`` evaluates Q directly; ``soft_penalty``
-adds lambda1 * (1^T w - m); ``alpha`` trades the matrix inverse for an
-auxiliary variable with a soft residual constraint; ``low_rank`` replaces the
-Gram matrix by a rank-D feature factorization and works on the rescaled,
-constant-shifted form of Q.
+adds lambda1 * (1^T w - m); ``low_rank`` replaces the Gram matrix by a rank-D
+feature factorization and works on the rescaled, constant-shifted form of Q.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import InvalidDataError, InvalidParameterError, NumericalError
+from .errors import InvalidParameterError, NumericalError
 from .kernels import (
     GramMatrix,
     KernelSpec,
@@ -32,7 +30,7 @@ from .kernels import (
     weighted_linear_gram,
 )
 
-VARIANTS = ("exact", "soft_penalty", "alpha", "low_rank")
+VARIANTS = ("exact", "soft_penalty", "low_rank")
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,6 @@ class ObjectiveConfig:
     epsilon: ridge level eps > 0 (the matrix regularizer is n * eps * I).
     m: target number of selected features.
     lambda1: weight of the soft cardinality penalty (soft_penalty variant).
-    lambda2: weight of the residual penalty (alpha variant).
     num_random_features: rank D of the feature factorization (low_rank).
     seed: controls the random feature draw and any init perturbation.
     """
@@ -51,7 +48,6 @@ class ObjectiveConfig:
     m: int
     variant: str = "exact"
     lambda1: float = 1.0
-    lambda2: float = 1000.0
     num_random_features: int = 2048
     seed: int = 0
 
@@ -62,8 +58,8 @@ class ObjectiveConfig:
             raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
         if _check_integer(self.m, "m") < 1:
             raise InvalidParameterError(f"m must be >= 1, got {self.m}")
-        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
-            raise InvalidParameterError("lambda1 and lambda2 must be finite and nonnegative")
+        if not (0 <= self.lambda1 < np.inf):
+            raise InvalidParameterError("lambda1 must be finite and nonnegative")
         if _check_integer(self.num_random_features, "num_random_features") < 1:
             raise InvalidParameterError("num_random_features must be >= 1")
         if not (0 <= _check_integer(self.seed, "seed") < 2**64):
@@ -72,18 +68,16 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """Objective value with gradients (None when not requested)."""
+    """Objective value with its gradient (None when not requested)."""
 
     value: float
     gradient_w: np.ndarray | None = None
-    gradient_alpha: np.ndarray | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise NumericalError(f"objective value is not finite: {self.value}")
-        for g in (self.gradient_w, self.gradient_alpha):
-            if g is not None and not np.all(np.isfinite(g)):
-                raise NumericalError("objective gradient has non-finite entries")
+        if self.gradient_w is not None and not np.all(np.isfinite(self.gradient_w)):
+            raise NumericalError("objective gradient has non-finite entries")
 
 
 def _input_grams(X: np.ndarray, w: np.ndarray, kernel: KernelSpec):
@@ -98,7 +92,7 @@ def _input_grams(X: np.ndarray, w: np.ndarray, kernel: KernelSpec):
 def _factor_ridge(G: np.ndarray, n: int, epsilon: float):
     A = G + (n * epsilon) * np.eye(n)
     try:
-        return cho_factor(A, lower=True, check_finite=False), A
+        return cho_factor(A, lower=True, check_finite=False)
     except LinAlgError as exc:  # not reachable for finite inputs and eps > 0
         raise NumericalError(f"ridge matrix factorization failed: {exc}") from exc
 
@@ -138,7 +132,7 @@ def exact_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
     w = _check_weights(w, X.shape[1])
     n = X.shape[0]
     K, G = _input_grams(X, w, kernel)
-    factor, _ = _factor_ridge(G.entries, n, cfg.epsilon)
+    factor = _factor_ridge(G.entries, n, cfg.epsilon)
     B = cho_solve(factor, Y, check_finite=False)
     value = float(np.sum(Y * B))
     if not compute_gradient:
@@ -161,81 +155,6 @@ def soft_penalty_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
     if compute_gradient:
         grad = base.gradient_w + cfg.lambda1
     return ObjectiveValue(value, gradient_w=grad)
-
-
-def _promote_alpha(alpha: np.ndarray, n: int, k: int):
-    alpha = np.asarray(alpha, dtype=np.float64)
-    squeeze = alpha.ndim == 1
-    if squeeze:
-        alpha = alpha[:, None]
-    if alpha.shape != (n, k):
-        raise InvalidDataError(
-            f"alpha has shape {alpha.shape}, expected ({n}, {k})"
-        )
-    if not np.all(np.isfinite(alpha)):
-        raise InvalidDataError("alpha contains non-finite entries")
-    return alpha, squeeze
-
-
-def alpha_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
-                    alpha: np.ndarray, cfg: ObjectiveConfig, kernel: KernelSpec, *,
-                    compute_gradient: bool = True,
-                    with_cardinality_penalty: bool = False) -> ObjectiveValue:
-    """Tr[Y^T alpha] + lambda2 ||(G_w + n eps I) alpha - Y||_F^2.
-
-    No linear solve is needed to evaluate it; alpha plays the role of
-    A^(-1) Y and the residual penalty enforces the defining relation softly.
-    For a single response column alpha may be passed (and its gradient is
-    returned) as a flat n-vector. ``with_cardinality_penalty`` additionally
-    adds lambda1 * (1^T w - m), letting the two soft constraints combine so
-    the sum cap can be dropped from the feasible set.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    w = _check_weights(w, X.shape[1])
-    n = X.shape[0]
-    alpha2, squeeze = _promote_alpha(alpha, n, Y.shape[1])
-    K, G = _input_grams(X, w, kernel)
-    ne = n * cfg.epsilon
-    A_alpha = G.entries @ alpha2 + ne * alpha2
-    R = A_alpha - Y
-    value = float(np.sum(Y * alpha2)) + cfg.lambda2 * float(np.sum(R * R))
-    if with_cardinality_penalty:
-        value += cfg.lambda1 * (float(w.sum()) - cfg.m)
-    if not compute_gradient:
-        return ObjectiveValue(value)
-    grad_alpha = Y + 2.0 * cfg.lambda2 * (G.entries @ R + ne * R)
-    HR = center_rows(R)
-    HA = center_rows(alpha2)
-    N = 0.5 * (HR @ HA.T + HA @ HR.T)
-    grad_w = 2.0 * cfg.lambda2 * _dk_contraction(K, N, X, w, kernel)
-    if with_cardinality_penalty:
-        grad_w = grad_w + cfg.lambda1
-    if squeeze:
-        grad_alpha = grad_alpha[:, 0]
-    return ObjectiveValue(value, gradient_w=grad_w, gradient_alpha=grad_alpha)
-
-
-def solve_alpha(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
-                cfg: ObjectiveConfig, kernel: KernelSpec) -> np.ndarray:
-    """Minimizer of the alpha objective over alpha at fixed w.
-
-    Setting the alpha gradient to zero gives
-    alpha* = A^(-1) Y - (1 / (2 lambda2)) A^(-2) Y; one Cholesky
-    factorization serves both solves. Requires lambda2 > 0.
-    """
-    if cfg.lambda2 <= 0:
-        raise InvalidParameterError("alpha solve requires lambda2 > 0")
-    X = np.asarray(X, dtype=np.float64)
-    w = _check_weights(w, X.shape[1])
-    n = X.shape[0]
-    _, G = _input_grams(X, w, kernel)
-    factor, _ = _factor_ridge(G.entries, n, cfg.epsilon)
-    z1 = cho_solve(factor, Y, check_finite=False)
-    z2 = cho_solve(factor, z1, check_finite=False)
-    alpha = z1 - z2 / (2.0 * cfg.lambda2)
-    if Y.shape[1] == 1:
-        return alpha[:, 0]
-    return alpha
 
 
 def low_rank_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,

@@ -25,12 +25,10 @@ from .kernels import (
 )
 from .objective import (
     ObjectiveConfig,
-    alpha_objective,
     exact_objective,
     low_rank_equivalent_value,
     low_rank_objective,
     soft_penalty_objective,
-    solve_alpha,
 )
 from .random_features import LinearFeatureMap, draw_map
 
@@ -235,17 +233,13 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
              sigma: float | None = None,
              input_kernel: str = "gaussian",
              w0: FeatureWeights | Sequence[float] | None = None,
-             init_perturbation: float = 0.0,
-             alpha_soft_cardinality: bool = False) -> SelectionResult:
+             init_perturbation: float = 0.0) -> SelectionResult:
     """Run the relaxed selection problem to a ranked feature list.
 
     sigma defaults to the median-distance bandwidth heuristic on the data.
-    The exact, alpha and low-rank variants project onto the capped
-    box-simplex each step; the soft-penalty variant only clips to the box.
-    The alpha variant alternates an exact alpha solve with a projected
-    w-step; with ``alpha_soft_cardinality`` its sum cap is also moved into
-    the objective as the lambda1 penalty and only the box remains. Identical
-    inputs and seeds reproduce the result bit for bit.
+    The exact and low-rank variants project onto the capped box-simplex each
+    step; the soft-penalty variant only clips to the box. Identical inputs
+    and seeds reproduce the result bit for bit.
     """
     opt = opt or OptimizerConfig()
     if cfg.m > dataset.d:
@@ -257,9 +251,7 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
     n, d = X.shape
     classification = dataset.task == "classification"
 
-    box_only = cfg.variant == "soft_penalty" or (
-        cfg.variant == "alpha" and alpha_soft_cardinality)
-    if box_only:
+    if cfg.variant == "soft_penalty":
         projector = lambda v: np.clip(v, 0.0, 1.0)  # noqa: E731
     else:
         projector = lambda v: project(v, cfg.m)  # noqa: E731
@@ -273,30 +265,21 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
 
     w = _initial_weights(d, cfg, projector, w0, init_perturbation)
 
-    if cfg.variant == "alpha":
-        w, trace, converged, iterations = _descend_alpha(
-            X, Y, w, cfg, kernel, projector, opt,
-            soft_cardinality=alpha_soft_cardinality)
+    if cfg.variant == "exact":
+        evaluate = lambda wv: exact_objective(X, Y, wv, cfg, kernel)  # noqa: E731
+    elif cfg.variant == "soft_penalty":
+        evaluate = lambda wv: soft_penalty_objective(X, Y, wv, cfg, kernel)  # noqa: E731
     else:
-        if cfg.variant == "exact":
-            evaluate = lambda wv: exact_objective(X, Y, wv, cfg, kernel)  # noqa: E731
-        elif cfg.variant == "soft_penalty":
-            evaluate = lambda wv: soft_penalty_objective(X, Y, wv, cfg, kernel)  # noqa: E731
-        else:
-            evaluate = lambda wv: low_rank_objective(X, Y, wv, cfg, feature_map)  # noqa: E731
-        w, trace, converged, iterations = _descend(w, evaluate, projector, opt)
+        evaluate = lambda wv: low_rank_objective(X, Y, wv, cfg, feature_map)  # noqa: E731
+    w, trace, converged, iterations = _descend(w, evaluate, projector, opt)
 
-    # The descent's last value was taken at the final w, so only the alpha
-    # variant, whose trace holds the alpha objective, evaluates Q again.
+    # The descent's last value was taken at the final w; Q is read off it.
     if cfg.variant == "exact":
         q_final = trace[-1]
     elif cfg.variant == "soft_penalty":
         q_final = trace[-1] - cfg.lambda1 * (float(w.sum()) - cfg.m)
-    elif cfg.variant == "low_rank":
-        q_final = low_rank_equivalent_value(trace[-1], Y, cfg.epsilon, n)
     else:
-        q_final = exact_objective(X, Y, w, cfg, kernel,
-                                  compute_gradient=False).value
+        q_final = low_rank_equivalent_value(trace[-1], Y, cfg.epsilon, n)
     trace_estimate = cfg.epsilon * q_final
 
     ranking = ranking_from_weights(w)
@@ -317,53 +300,7 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
             "response_kernel": "one_hot_delta" if classification else "linear",
             "num_classes": Y.shape[1] if classification else None,
             "init_perturbation": init_perturbation,
-            "alpha_soft_cardinality": alpha_soft_cardinality,
         },
     )
     return result
 
-
-def _descend_alpha(X, Y, w, cfg, kernel, projector, opt: OptimizerConfig,
-                   soft_cardinality: bool = False):
-    """Block descent: exact alpha solve, then a projected Armijo w-step."""
-    if cfg.lambda2 <= 0:
-        raise InvalidParameterError("alpha variant requires lambda2 > 0")
-
-    def evaluate(wv, al, need_grad=True):
-        return alpha_objective(X, Y, wv, al, cfg, kernel,
-                               compute_gradient=need_grad,
-                               with_cardinality_penalty=soft_cardinality)
-
-    alpha = solve_alpha(X, Y, w, cfg, kernel)
-    current = evaluate(w, alpha)
-    trace = [current.value]
-    step = opt.init_step
-    converged = False
-    iterations = 0
-    for _ in range(opt.max_iters):
-        accepted = None
-        s = step
-        while s >= _MIN_STEP:
-            w_new = projector(w - s * current.gradient_w)
-            candidate = evaluate(w_new, alpha, need_grad=False)
-            delta = w_new - w
-            if candidate.value <= current.value - (opt.armijo_c / s) * float(delta @ delta):
-                accepted = (w_new, s)
-                break
-            s *= opt.armijo_beta
-        if accepted is None:
-            converged = True
-            break
-        iterations += 1
-        w_new, s = accepted
-        alpha = solve_alpha(X, Y, w_new, cfg, kernel)
-        new_eval = evaluate(w_new, alpha)
-        decrease = current.value - new_eval.value
-        rel = decrease / max(abs(current.value), 1e-300)
-        w, current = w_new, new_eval
-        trace.append(current.value)
-        step = min(opt.init_step, s / opt.armijo_beta)
-        if rel < opt.rel_tol:
-            converged = True
-            break
-    return w, trace, converged, iterations

@@ -5,7 +5,21 @@ finite differences instead of analytic gradients, and KKT-verified active-set
 enumeration instead of bisection for the capped box-simplex projection.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py`` read-only, without adding it to sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def central_difference_gradient(f, w, h=1e-5):

@@ -27,7 +27,6 @@ from ccselect.dataio import LabeledDataset, save_result
 from ccselect.kernels import KernelSpec, median_bandwidth
 from ccselect.objective import (
     ObjectiveConfig,
-    alpha_objective,
     exact_objective,
     low_rank_equivalent_value,
     low_rank_objective,
@@ -58,24 +57,22 @@ def _random_instance(seed: int):
                             num_classes=k)
     eps = float(rng.uniform(0.05, 0.4))
     w = rng.uniform(0.05, 0.95, d)
-    return ds, eps, w, rng
+    return ds, eps, w
 
 
 def test_criterion_1_gradient_correctness():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        ds, eps, w, rng = _random_instance(1000 + seed)
+        ds, eps, w = _random_instance(1000 + seed)
         X = ds.X
         n, d = X.shape
         resp = dataset_response(ds)
         sigma = median_bandwidth(X)
         kern = KernelSpec(bandwidth=sigma)
         cfg = ObjectiveConfig(epsilon=eps, m=max(1, d // 2), lambda1=0.8,
-                              lambda2=10.0, num_random_features=32,
-                              seed=seed)
+                              num_random_features=32, seed=seed)
         fmap = draw_map(d, 32, sigma, seed=seed)
-        alpha = rng.standard_normal(resp.shape)
 
         checks = {
             "exact": (
@@ -86,10 +83,6 @@ def test_criterion_1_gradient_correctness():
                 soft_penalty_objective(X, resp, w, cfg, kern).gradient_w,
                 lambda wv: soft_penalty_objective(X, resp, wv, cfg, kern,
                                                   compute_gradient=False).value),
-            "alpha": (
-                alpha_objective(X, resp, w, alpha, cfg, kern).gradient_w,
-                lambda wv: alpha_objective(X, resp, wv, alpha, cfg, kern,
-                                           compute_gradient=False).value),
             "low_rank": (
                 low_rank_objective(X, resp, w, cfg, fmap).gradient_w,
                 lambda wv: low_rank_objective(X, resp, wv, cfg, fmap,
@@ -109,7 +102,6 @@ def test_criterion_1_gradient_correctness():
         wz[0] = 0.0
         assert exact_objective(X, resp, wz, cfg, kern).gradient_w[0] == 0.0
         assert soft_penalty_objective(X, resp, wz, cfg, kern).gradient_w[0] == cfg.lambda1
-        assert alpha_objective(X, resp, wz, alpha, cfg, kern).gradient_w[0] == 0.0
         lr_grad = low_rank_objective(X, resp, wz, cfg, fmap).gradient_w
         lr_fd = central_difference_gradient(
             lambda wv: low_rank_objective(X, resp, wv, cfg, fmap,
@@ -119,7 +111,7 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.perf_counter() - t0
     report("1 gradient correctness",
            worst <= 1e-5 and elapsed <= 30.0,
-           f"20 instances x 4 variants, worst rel err {worst:.2e}, "
+           f"20 instances x 3 variants, worst rel err {worst:.2e}, "
            f"{elapsed:.1f}s (limit 30s)")
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from ccselect import bench, cli, objective
 from ccselect.cli import main
+from ccselect.errors import InvalidParameterError
 
 
 def test_gen_data_writes_csv_and_metadata(tmp_path, capsys):
@@ -67,6 +69,23 @@ def test_select_variant_and_csv_output(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "feature_index,weight,rank"
     assert len(lines) == 11
+
+
+def test_one_list_of_variants_and_alpha_is_refused(tmp_path):
+    assert (set(cli.VARIANT_ALIASES.values()) == set(bench.METHOD_VARIANTS.values())
+            == set(objective.VARIANTS))
+    with pytest.raises(InvalidParameterError):
+        objective.ObjectiveConfig(epsilon=0.1, m=1, variant="alpha")
+    with pytest.raises(InvalidParameterError):
+        bench.run_benchmark("additive_regression", sizes=(10,), trials=1,
+                            methods=("ccm-alpha",))
+    data = tmp_path / "reg.csv"
+    main(["gen-data", "--kind", "additive_regression", "--n", "20",
+          "--seed", "1", "--out", str(data)])
+    with pytest.raises(SystemExit) as err:
+        main(["select", "--input", str(data), "--label", "label",
+              "--task", "reg", "--m", "2", "--variant", "alpha"])
+    assert err.value.code == 2
 
 
 def test_oracle_counts_subsets(tmp_path, capsys):

@@ -11,7 +11,12 @@ from ccselect.dataio import (
     save_result,
     standardize,
 )
-from ccselect.errors import CsvParseError, DegenerateDataError, InvalidParameterError
+from ccselect.errors import (
+    CsvParseError,
+    DegenerateDataError,
+    InvalidLabelError,
+    InvalidParameterError,
+)
 from ccselect.synthdata import gen_additive_regression, gen_binary_ring
 
 
@@ -117,6 +122,19 @@ def test_canonical_class_labels_first_appearance():
     labels, classes = canonical_class_labels(np.array([5, 2, 5, 9, 2]))
     assert np.array_equal(labels, [0, 1, 0, 2, 1])
     assert classes == [5, 2, 9]
+
+
+def test_nan_class_label_is_refused():
+    from ccselect.objective import ObjectiveConfig
+    from ccselect.optimizer import optimize
+
+    y = np.array([0.0, 1.0, np.nan, np.nan, 1.0, 0.0])
+    with pytest.raises(InvalidLabelError):
+        canonical_class_labels(y)
+    X = np.random.default_rng(0).standard_normal((6, 3))
+    ds = LabeledDataset(X, y, "classification")
+    with pytest.raises(InvalidLabelError):
+        optimize(ds, ObjectiveConfig(epsilon=0.001, m=1))
 
 
 def test_save_result_json_and_csv(tmp_path):

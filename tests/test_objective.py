@@ -8,12 +8,10 @@ from ccselect.errors import InvalidParameterError
 from ccselect.kernels import KernelSpec
 from ccselect.objective import (
     ObjectiveConfig,
-    alpha_objective,
     exact_objective,
     low_rank_equivalent_value,
     low_rank_objective,
     soft_penalty_objective,
-    solve_alpha,
 )
 from ccselect.optimizer import dataset_response
 from ccselect.random_features import LinearFeatureMap, draw_map
@@ -132,61 +130,6 @@ def test_soft_penalty_additivity():
         exact_objective(X, resp, w_over, cfg, GAUSS).value + 2.0, rel=1e-12)
 
 
-def test_alpha_objective_at_exact_inverse_matches_exact_value():
-    X, resp = make_regression(seed=11)
-    n = X.shape[0]
-    cfg = ObjectiveConfig(epsilon=0.2, m=3, lambda2=50.0)
-    w = np.full(6, 0.5)
-    from ccselect.kernels import center, weighted_gaussian_gram
-
-    G = center(weighted_gaussian_gram(X, w, GAUSS.bandwidth)).entries
-    A = G + n * cfg.epsilon * np.eye(n)
-    alpha = np.linalg.solve(A, resp[:, 0])
-    value = alpha_objective(X, resp, w, alpha, cfg, GAUSS).value
-    exact = exact_objective(X, resp, w, cfg, GAUSS).value
-    assert value == pytest.approx(exact, rel=1e-10)
-
-
-def test_alpha_objective_at_zero_alpha():
-    X, resp = make_regression(seed=12)
-    cfg = ObjectiveConfig(epsilon=0.2, m=3, lambda2=7.0)
-    w = np.full(6, 0.5)
-    value = alpha_objective(X, resp, w, np.zeros(X.shape[0]), cfg, GAUSS).value
-    assert value == pytest.approx(cfg.lambda2 * float(np.sum(resp**2)),
-                                  rel=1e-12)
-
-
-def test_alpha_gradients_match_finite_differences():
-    X, resp = make_regression(n=14, d=4, seed=13)
-    n = X.shape[0]
-    rng = np.random.default_rng(14)
-    cfg = ObjectiveConfig(epsilon=0.3, m=2, lambda2=3.0)
-    w = rng.uniform(0.1, 0.9, 4)
-    alpha = rng.standard_normal(n)
-    ov = alpha_objective(X, resp, w, alpha, cfg, GAUSS)
-    fd_w = central_difference_gradient(
-        lambda wv: alpha_objective(X, resp, wv, alpha, cfg, GAUSS,
-                                   compute_gradient=False).value, w)
-    assert vector_rel_error(ov.gradient_w, fd_w) <= 1e-5
-    fd_a = central_difference_gradient(
-        lambda av: alpha_objective(X, resp, w, av, cfg, GAUSS,
-                                   compute_gradient=False).value, alpha)
-    assert vector_rel_error(ov.gradient_alpha, fd_a) <= 1e-5
-
-
-def test_alpha_minimum_approaches_exact_for_large_lambda2():
-    for seed in range(4):
-        X, resp = make_regression(n=22, d=5, seed=20 + seed)
-        cfg = ObjectiveConfig(epsilon=0.15, m=2, lambda2=1e3)
-        w = np.full(5, 0.4)
-        alpha = solve_alpha(X, resp, w, cfg, GAUSS)
-        val = alpha_objective(X, resp, w, alpha, cfg, GAUSS,
-                              compute_gradient=False).value
-        exact = exact_objective(X, resp, w, cfg, GAUSS,
-                                compute_gradient=False).value
-        assert abs(val - exact) / exact <= 0.01
-
-
 def test_low_rank_zero_weights_core_vanishes():
     X, resp = make_regression(seed=15)
     cfg = ObjectiveConfig(epsilon=0.2, m=3, num_random_features=32)
@@ -282,28 +225,3 @@ def test_objective_config_validation():
     with pytest.raises(InvalidParameterError):
         ObjectiveConfig(epsilon=0.1, m=2, num_random_features=0)
 
-
-def test_alpha_with_cardinality_penalty_combines_both_relaxations():
-    X, resp = make_regression(seed=22)
-    rng = np.random.default_rng(23)
-    cfg = ObjectiveConfig(epsilon=0.2, m=2, lambda1=0.9, lambda2=4.0)
-    w = rng.uniform(0.1, 0.9, 6)
-    alpha = rng.standard_normal(X.shape[0])
-    plain = alpha_objective(X, resp, w, alpha, cfg, GAUSS)
-    combined = alpha_objective(X, resp, w, alpha, cfg, GAUSS,
-                               with_cardinality_penalty=True)
-    assert combined.value == pytest.approx(
-        plain.value + cfg.lambda1 * (w.sum() - cfg.m), rel=1e-12)
-    assert np.allclose(combined.gradient_w, plain.gradient_w + cfg.lambda1)
-    fd = central_difference_gradient(
-        lambda wv: alpha_objective(X, resp, wv, alpha, cfg, GAUSS,
-                                   compute_gradient=False,
-                                   with_cardinality_penalty=True).value, w)
-    assert vector_rel_error(combined.gradient_w, fd) <= 1e-5
-
-
-def test_solve_alpha_requires_positive_lambda2():
-    X, resp = make_regression(seed=21)
-    cfg = ObjectiveConfig(epsilon=0.2, m=2, lambda2=0.0)
-    with pytest.raises(InvalidParameterError):
-        solve_alpha(X, resp, np.full(6, 0.5), cfg, GAUSS)

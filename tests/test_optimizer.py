@@ -114,8 +114,6 @@ _NON_INTEGER_COUNTS_AND_NON_FINITE_PENALTIES = {
     "seed=1.5": partial(ObjectiveConfig, epsilon=0.1, m=2, variant="low_rank", seed=1.5),
     "lambda1=nan": partial(ObjectiveConfig, epsilon=0.1, m=2, lambda1=float("nan")),
     "lambda1=inf": partial(ObjectiveConfig, epsilon=0.1, m=2, lambda1=float("inf")),
-    "lambda2=nan": partial(ObjectiveConfig, epsilon=0.1, m=2, lambda2=float("nan")),
-    "lambda2=inf": partial(ObjectiveConfig, epsilon=0.1, m=2, lambda2=float("inf")),
     "max_iters=2.5": partial(OptimizerConfig, max_iters=2.5),
     "exhaustive m=2.0": partial(_exhaustive_with_m, 2.0),
 }
@@ -138,9 +136,9 @@ def test_optimize_recovers_single_linear_feature():
 
 def test_optimize_trace_is_non_increasing():
     ds = make_linear_dataset(40, 6, 3, noise=0.5)
-    for variant in ("exact", "low_rank", "soft_penalty", "alpha"):
+    for variant in ("exact", "low_rank", "soft_penalty"):
         cfg = ObjectiveConfig(epsilon=0.1, m=2, variant=variant,
-                              num_random_features=128, lambda1=0.5, lambda2=100.0)
+                              num_random_features=128, lambda1=0.5)
         result = optimize(ds, cfg)
         trace = np.array(result.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12), variant
@@ -190,24 +188,6 @@ def test_optimize_soft_variant_only_clips_to_box():
     result = optimize(ds, cfg)
     assert result.final_weights.sum() > 1.0
     assert np.all(result.final_weights <= 1.0)
-
-
-def test_optimize_alpha_with_soft_cardinality_uses_box_only():
-    ds = make_linear_dataset(30, 4, 12, noise=0.1)
-    cfg = ObjectiveConfig(epsilon=0.1, m=1, variant="alpha", lambda1=0.0,
-                          lambda2=100.0)
-    result = optimize(ds, cfg, alpha_soft_cardinality=True)
-    # without the penalty nothing caps the weight sum
-    assert result.final_weights.sum() > 1.0
-    trace = np.array(result.objective_trace)
-    assert np.all(np.diff(trace) <= 1e-12)
-
-
-def test_optimize_alpha_requires_positive_lambda2():
-    ds = make_linear_dataset(20, 3, 8)
-    cfg = ObjectiveConfig(epsilon=0.1, m=1, variant="alpha", lambda2=0.0)
-    with pytest.raises(InvalidParameterError):
-        optimize(ds, cfg)
 
 
 def test_optimize_rejects_oversized_m():

@@ -7,15 +7,11 @@ read 0 in every traced benchmark run; this test runs small fits through the
 tracer and fails instead.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
+from oracles import load_perfbench
 
 import ccselect
 from ccselect.dataio import LabeledDataset
-
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 EXPECTED_SPANS = (
     "kernels.weighted_gaussian_gram",
@@ -41,18 +37,11 @@ EXPECTED_COUNTERS = (
 )
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_tracer_records_every_layer():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((30, 5))
     ds = LabeledDataset(X, np.sin(X[:, 0]) + X[:, 1], "regression")
-    tracer = _load_tracing().install(ccselect)
+    tracer = load_perfbench("tracing").install(ccselect)
     try:
         for variant in ("exact", "soft_penalty", "low_rank"):
             cfg = ccselect.objective.ObjectiveConfig(
