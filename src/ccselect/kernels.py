@@ -177,6 +177,10 @@ def median_bandwidth(X: np.ndarray, *, max_points: int = MEDIAN_HEURISTIC_MAX_PO
     All n(n-1)/2 pairs are used up to ``max_points`` samples; beyond that a
     seeded uniform subsample of ``max_points`` rows keeps the cost bounded.
     An even pair count takes the mean of the two central order statistics.
+
+    The squared distances are held once and partitioned in place; only the
+    central ones are square-rooted. The square root is monotone, so this is
+    ``np.median(pdist(X, "euclidean"))`` bit for bit without its copy.
     """
     X = _check_matrix(X)
     n = X.shape[0]
@@ -186,8 +190,11 @@ def median_bandwidth(X: np.ndarray, *, max_points: int = MEDIAN_HEURISTIC_MAX_PO
         rng = np.random.default_rng(subsample_seed)
         idx = rng.choice(n, size=max_points, replace=False)
         X = X[np.sort(idx)]
-    dists = pdist(X, "euclidean")
-    med = float(np.median(dists))
+    sq = pdist(X, "sqeuclidean")
+    half = sq.size // 2
+    central = [half] if sq.size % 2 else [half - 1, half]
+    sq.partition(central)
+    med = float(np.mean(np.sqrt(sq[central])))
     if med <= 0.0:
         raise DegenerateDataError(
             "median pairwise distance is zero; data too degenerate for the "

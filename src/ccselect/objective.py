@@ -180,15 +180,19 @@ def low_rank_objective(X: np.ndarray, Y: np.ndarray, w: np.ndarray,
     ne = n * cfg.epsilon
     T = V.T @ Y
     try:
+        # The Gram matrices are symmetric, so each one's transpose is the same
+        # matrix in Fortran order, which LAPACK factors in place.
         if D <= n:
-            E = V.T @ V + ne * np.eye(D)
-            factor = cho_factor(E, lower=True, check_finite=False)
+            E = V.T @ V
+            E.flat[::D + 1] += ne
+            factor = cho_factor(E.T, lower=True, overwrite_a=True, check_finite=False)
             S = cho_solve(factor, T, check_finite=False)
         else:
             # Push-through identity: (V^T V + c I)^(-1) V^T = V^T (V V^T + c I)^(-1);
             # solving on the smaller side gives the same S exactly.
-            F = V @ V.T + ne * np.eye(n)
-            factor = cho_factor(F, lower=True, check_finite=False)
+            F = V @ V.T
+            F.flat[::n + 1] += ne
+            factor = cho_factor(F.T, lower=True, overwrite_a=True, check_finite=False)
             S = V.T @ cho_solve(factor, Y, check_finite=False)
     except LinAlgError as exc:
         raise NumericalError(f"low-rank system factorization failed: {exc}") from exc

@@ -194,7 +194,8 @@ def _initial_weights(d: int, cfg: ObjectiveConfig, projector, w0, perturbation: 
 def _descend(w, evaluate, projector, opt: OptimizerConfig):
     """Monotone PGD: returns (w, trace, converged, iterations).
 
-    trace[-1] is the objective value at the returned w.
+    trace[-1] is the objective value at the returned w. A descent that finds
+    no Armijo step down to _MIN_STEP has stalled and is not converged.
     """
     current = evaluate(w)
     trace = [current.value]
@@ -213,7 +214,6 @@ def _descend(w, evaluate, projector, opt: OptimizerConfig):
                 break
             s *= opt.armijo_beta
         if accepted is None:
-            converged = True
             break
         iterations += 1
         w_new, candidate, s = accepted

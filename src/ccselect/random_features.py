@@ -14,6 +14,9 @@ import numpy as np
 from .errors import InvalidParameterError
 from .kernels import center_rows
 
+# Row-block size in bytes for the gradient contraction's theta buffer.
+_BLOCK_BYTES = 2**23
+
 
 @dataclass(frozen=True)
 class RandomFeatureMap:
@@ -52,14 +55,21 @@ class RandomFeatureMap:
         A is n x k and S is D x k. With
         d(embed)_ir / d w_l = -scale * sin(theta_ir) * frequencies[r, l] * X[i, l],
         the sum is -scale * sum_k A[:, k]^T (X ∘ (sin(theta) (S[:, k] ∘ frequencies))),
-        which never forms the n x D product A S^T.
+        which never forms the n x D product A S^T. theta is recomputed over
+        row blocks of about _BLOCK_BYTES, so no n x D array is allocated.
         """
-        theta = (X * w) @ self.frequencies.T
-        theta += self.phases
-        sin_theta = np.sin(theta, out=theta)
+        weighted = [S[:, k, None] * self.frequencies for k in range(A.shape[1])]
+        rows = min(X.shape[0], max(1, _BLOCK_BYTES // (8 * self.num_features)))
+        block = np.empty((rows, self.num_features))
         total = np.zeros(X.shape[1])
-        for k in range(A.shape[1]):
-            total += A[:, k] @ (X * (sin_theta @ (S[:, k, None] * self.frequencies)))
+        for start in range(0, X.shape[0], rows):
+            Xb = X[start:start + rows]
+            Ab = A[start:start + rows]
+            theta = np.matmul(Xb * w, self.frequencies.T, out=block[:Xb.shape[0]])
+            theta += self.phases
+            sin_theta = np.sin(theta, out=theta)
+            for k, SF in enumerate(weighted):
+                total += Ab[:, k] @ (Xb * (sin_theta @ SF))
         return -self.scale * total
 
 

@@ -6,6 +6,7 @@ enumeration instead of bisection for the capped box-simplex projection.
 """
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,16 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def central_difference_gradient(f, w, h=1e-5):

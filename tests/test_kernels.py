@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
+
+from oracles import traced_peak_bytes
 
 from ccselect.dataio import LabeledDataset
 from ccselect.errors import (
@@ -214,6 +217,30 @@ def test_median_bandwidth_scales_with_data():
 def test_median_bandwidth_identical_points_error():
     with pytest.raises(DegenerateDataError):
         median_bandwidth(np.ones((5, 2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 101])
+def test_median_bandwidth_equals_median_of_euclidean_distances(n):
+    # n = 2, 3, 6 give an odd pair count, n = 4, 5, 101 an even one
+    X = np.random.default_rng(n).standard_normal((n, 3))
+    expected = np.median(pdist(X, "euclidean")) / np.sqrt(2.0)
+    assert median_bandwidth(X) == expected
+
+
+@pytest.mark.parametrize("max_points", [6, 5])
+def test_median_bandwidth_subsample_equals_median_of_its_rows(max_points):
+    # C(6, 2) = 15 pairs is odd, C(5, 2) = 10 is even
+    X = np.random.default_rng(10).standard_normal((40, 2))
+    rows = np.random.default_rng(3).choice(40, size=max_points, replace=False)
+    expected = np.median(pdist(X[np.sort(rows)], "euclidean")) / np.sqrt(2.0)
+    assert median_bandwidth(X, max_points=max_points, subsample_seed=3) == expected
+
+
+def test_median_bandwidth_holds_one_copy_of_the_distances():
+    n = 2000
+    X = np.random.default_rng(11).standard_normal((n, 5))
+    distance_bytes = 8 * n * (n - 1) // 2
+    assert traced_peak_bytes(lambda: median_bandwidth(X)) <= 1.25 * distance_bytes
 
 
 def test_median_bandwidth_subsample_is_deterministic():

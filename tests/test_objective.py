@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference_gradient, vector_rel_error
+from oracles import central_difference_gradient, traced_peak_bytes, vector_rel_error
 
 from ccselect.dataio import LabeledDataset
 from ccselect.errors import InvalidParameterError
@@ -200,6 +200,18 @@ def test_low_rank_wide_map_uses_identical_mathematics():
     T = V.T @ resp
     direct = -float(np.sum(T * np.linalg.solve(E, T)))
     assert core == pytest.approx(direct, rel=1e-10)
+
+
+def test_low_rank_evaluation_holds_one_n_by_d_buffer():
+    # V is the one n x D array; theta is recomputed in row blocks of about
+    # 8 MB for the gradient
+    n, d, D = 6000, 10, 512
+    X, resp = make_regression(n=n, d=d, seed=22)
+    cfg = ObjectiveConfig(epsilon=0.1, m=3, variant="low_rank", num_random_features=D)
+    fmap = draw_map(d, D, 1.5, seed=10)
+    w = np.full(d, 0.3)
+    peak = traced_peak_bytes(lambda: low_rank_objective(X, resp, w, cfg, fmap))
+    assert peak <= 1.5 * 8 * n * D
 
 
 def test_low_rank_gaussian_tracks_exact_objective():

@@ -1,16 +1,16 @@
-import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import qp_project_oracle
+from oracles import qp_project_oracle, traced_peak_bytes
 
 from ccselect.dataio import LabeledDataset
 from ccselect.errors import InvalidDataError, InvalidParameterError
 from ccselect.kernels import KernelSpec
 from ccselect.objective import (
     ObjectiveConfig,
+    ObjectiveValue,
     exact_objective,
     low_rank_equivalent_value,
     low_rank_objective,
@@ -18,6 +18,7 @@ from ccselect.objective import (
 from ccselect.optimizer import (
     FeatureWeights,
     OptimizerConfig,
+    _descend,
     dataset_response,
     optimize,
     project,
@@ -181,6 +182,19 @@ def test_optimize_stays_at_binary_local_minimum():
     assert result.converged
 
 
+def test_descent_that_finds_no_step_is_not_converged():
+    # the reported gradient points uphill, so every trial step raises the
+    # value; starting at 0 keeps even the smallest steps representable
+    def uphill(w):
+        return ObjectiveValue(float(w.sum()), gradient_w=-np.ones_like(w))
+
+    w, trace, converged, iterations = _descend(
+        np.zeros(3), uphill, lambda v: v, OptimizerConfig())
+    assert converged is False
+    assert iterations == 0
+    assert np.array_equal(w, np.zeros(3)) and trace == [0.0]
+
+
 def test_optimize_soft_variant_only_clips_to_box():
     # with no penalty there is no cardinality pressure, so weights exceed m
     ds = make_linear_dataset(30, 4, 7, noise=0.1)
@@ -236,15 +250,6 @@ def test_trace_estimate_equals_fresh_evaluation_at_final_weights(variant):
     assert result.trace_estimate == pytest.approx(fresh, rel=1e-12)
 
 
-def _traced_peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_low_rank_fit_allocates_no_n_by_n_array():
     # 16 MiB is under a quarter of one n x n float64 array (69 MiB). sigma is
     # given, so the O(n^2) pairwise distances of the bandwidth heuristic are
@@ -254,5 +259,5 @@ def test_low_rank_fit_allocates_no_n_by_n_array():
     cfg = ObjectiveConfig(epsilon=0.1, m=2, variant="low_rank",
                           num_random_features=64)
     limit = 16 * 2**20
-    assert _traced_peak_bytes(lambda: dataset_response(ds)) < limit
-    assert _traced_peak_bytes(lambda: optimize(ds, cfg, sigma=1.0)) < limit
+    assert traced_peak_bytes(lambda: dataset_response(ds)) < limit
+    assert traced_peak_bytes(lambda: optimize(ds, cfg, sigma=1.0)) < limit

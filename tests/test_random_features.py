@@ -3,6 +3,7 @@ import pytest
 
 from oracles import central_difference_gradient, vector_rel_error
 
+from ccselect import random_features
 from ccselect.errors import InvalidParameterError
 from ccselect.kernels import center, weighted_gaussian_gram
 from ccselect.random_features import LinearFeatureMap, centered_embed, draw_map, embed
@@ -136,6 +137,30 @@ def test_embed_derivative_matches_finite_differences():
         grad = fmap.grad_contract(X, w, A, S)
         fd = central_difference_gradient(contracted, w, h=1e-6)
         assert vector_rel_error(grad, fd) <= 1e-6
+
+
+def _full_theta_contraction(fmap, X, w, A, S):
+    # d(embed)_ir / d w_l = -scale * sin(theta_ir) * F[r, l] * X[i, l]
+    sin_theta = np.sin((X * w) @ fmap.frequencies.T + fmap.phases)
+    C = A @ S.T
+    return -fmap.scale * np.einsum("ir,ir,rl,il->l", C, sin_theta,
+                                   fmap.frequencies, X)
+
+
+def test_grad_contract_over_row_blocks_matches_full_theta():
+    d, D = 3, 2048
+    rows = random_features._BLOCK_BYTES // (8 * D)
+    fmap = draw_map(d, D, 1.1, seed=15)
+    rng = np.random.default_rng(16)
+    w = rng.uniform(0.1, 0.9, d)
+    for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        X = rng.standard_normal((n, d))
+        for k in (1, 3):
+            A = rng.standard_normal((n, k))
+            S = rng.standard_normal((D, k))
+            expected = _full_theta_contraction(fmap, X, w, A, S)
+            got = fmap.grad_contract(X, w, A, S)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_linear_feature_map_is_exact_factorization():
