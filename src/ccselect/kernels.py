@@ -178,9 +178,11 @@ def median_bandwidth(X: np.ndarray, *, max_points: int = MEDIAN_HEURISTIC_MAX_PO
     seeded uniform subsample of ``max_points`` rows keeps the cost bounded.
     An even pair count takes the mean of the two central order statistics.
 
-    The squared distances are held once and partitioned in place; only the
-    central ones are square-rooted. The square root is monotone, so this is
-    ``np.median(pdist(X, "euclidean"))`` bit for bit without its copy.
+    The squared distances are held once and partitioned in place on the upper
+    central order statistic; the lower one, for an even count, is the largest
+    value left of it. Only the central ones are square-rooted. The square root
+    is monotone, so this is ``np.median(pdist(X, "euclidean"))`` bit for bit
+    without its copy.
     """
     X = _check_matrix(X)
     n = X.shape[0]
@@ -192,9 +194,9 @@ def median_bandwidth(X: np.ndarray, *, max_points: int = MEDIAN_HEURISTIC_MAX_PO
         X = X[np.sort(idx)]
     sq = pdist(X, "sqeuclidean")
     half = sq.size // 2
-    central = [half] if sq.size % 2 else [half - 1, half]
-    sq.partition(central)
-    med = float(np.mean(np.sqrt(sq[central])))
+    sq.partition(half)
+    central = sq[half:half + 1] if sq.size % 2 else np.array([sq[:half].max(), sq[half]])
+    med = float(np.mean(np.sqrt(central)))
     if med <= 0.0:
         raise DegenerateDataError(
             "median pairwise distance is zero; data too degenerate for the "

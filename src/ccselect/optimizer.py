@@ -196,8 +196,14 @@ def _descend(w, evaluate, projector, opt: OptimizerConfig):
 
     trace[-1] is the objective value at the returned w. A descent that finds
     no Armijo step down to _MIN_STEP has stalled and is not converged.
+
+    No point is evaluated twice in a row: a candidate whose bytes equal the
+    last point evaluated (a projected step back onto the current vertex, or a
+    rejected candidate that clips to the same point at a smaller step) reuses
+    its value. Bytes, not values, are compared, so -0.0 and 0.0 stay distinct.
     """
     current = evaluate(w)
+    last_key, last = w.tobytes(), current
     trace = [current.value]
     step = opt.init_step
     converged = False
@@ -207,7 +213,10 @@ def _descend(w, evaluate, projector, opt: OptimizerConfig):
         s = step
         while s >= _MIN_STEP:
             w_new = projector(w - s * current.gradient_w)
-            candidate = evaluate(w_new)
+            key = w_new.tobytes()
+            if key != last_key:
+                last_key, last = key, evaluate(w_new)
+            candidate = last
             delta = w_new - w
             if candidate.value <= current.value - (opt.armijo_c / s) * float(delta @ delta):
                 accepted = (w_new, candidate, s)

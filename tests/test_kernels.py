@@ -227,6 +227,15 @@ def test_median_bandwidth_equals_median_of_euclidean_distances(n):
     assert median_bandwidth(X) == expected
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 50])
+def test_median_bandwidth_with_tied_distances(n):
+    # lattice points repeat distances, so central order statistics tie with
+    # their neighbours; n = 4, 5 give an even pair count, n = 6, 7, 50 an odd one
+    X = np.random.default_rng(n).integers(0, 3, size=(n, 2)).astype(np.float64)
+    expected = np.median(pdist(X, "euclidean")) / np.sqrt(2.0)
+    assert median_bandwidth(X) == expected
+
+
 @pytest.mark.parametrize("max_points", [6, 5])
 def test_median_bandwidth_subsample_equals_median_of_its_rows(max_points):
     # C(6, 2) = 15 pairs is odd, C(5, 2) = 10 is even

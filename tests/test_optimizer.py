@@ -7,7 +7,7 @@ from oracles import qp_project_oracle, traced_peak_bytes
 
 from ccselect.dataio import LabeledDataset
 from ccselect.errors import InvalidDataError, InvalidParameterError
-from ccselect.kernels import KernelSpec
+from ccselect.kernels import KernelSpec, median_bandwidth
 from ccselect.objective import (
     ObjectiveConfig,
     ObjectiveValue,
@@ -27,6 +27,7 @@ from ccselect.optimizer import (
 )
 from ccselect.oracle import exhaustive_argmin
 from ccselect.random_features import draw_map
+from ccselect.synthdata import KINDS, generate
 
 
 def test_project_leaves_feasible_points_alone():
@@ -180,6 +181,85 @@ def test_optimize_stays_at_binary_local_minimum():
     result = optimize(ds, cfg, w0=FeatureWeights(w0, 1))
     assert np.array_equal(result.final_weights, w0)
     assert result.converged
+
+
+def _counting(evaluate):
+    points = []
+
+    def counted(w):
+        points.append(w.tobytes())
+        return evaluate(w)
+    return counted, points
+
+
+def test_descent_evaluates_a_fixed_point_once():
+    # the projected step from the binary local minimum lands back on it, so
+    # the accepted no-move step reuses the value taken there
+    ds = make_linear_dataset(40, 2, 6)
+    cfg = ObjectiveConfig(epsilon=0.1, m=1)
+    w0 = np.array([1.0, 0.0])
+    kernel = KernelSpec(bandwidth=median_bandwidth(ds.X))
+    resp = dataset_response(ds)
+    evaluate, points = _counting(lambda w: exact_objective(ds.X, resp, w, cfg, kernel))
+    w, trace, converged, iterations = _descend(
+        w0, evaluate, lambda v: project(v, 1), OptimizerConfig())
+    assert points == [w0.tobytes()]
+    assert iterations == 1 and converged is True
+    assert len(trace) == 2 and trace[0] == trace[1]
+    assert np.array_equal(w, w0)
+
+
+@pytest.mark.parametrize("variant", ["exact", "soft_penalty", "low_rank"])
+def test_optimize_never_evaluates_the_same_point_twice_in_a_row(variant, monkeypatch):
+    import ccselect.optimizer as optimizer_module
+
+    points = []
+    for name in ("exact_objective", "soft_penalty_objective", "low_rank_objective"):
+        def spy(X, Y, w, *args, _inner=getattr(optimizer_module, name), **kwargs):
+            points.append(np.asarray(w).tobytes())
+            return _inner(X, Y, w, *args, **kwargs)
+        monkeypatch.setattr(optimizer_module, name, spy)
+    for kind in KINDS:
+        ds = generate(kind, 60, 5)
+        epsilon = 0.1 if ds.task == "regression" else 0.001
+        cfg = ObjectiveConfig(epsilon=epsilon, m=2, variant=variant,
+                              num_random_features=256)
+        start = len(points)
+        optimize(ds, cfg)
+        calls = points[start:]
+        assert len(calls) >= 2, kind
+        assert all(a != b for a, b in zip(calls, calls[1:])), kind
+
+
+def test_rejected_candidate_clipped_to_one_vertex_is_evaluated_once():
+    # from w = 0.5 the steps 1, 1/2, ..., 1/16 along +10 all clip to the
+    # vertex 1.0, which is worse; 1/32 gives 0.8125 (worse), 1/64 0.65625
+    # (better, accepted)
+    def evaluate(w):
+        return ObjectiveValue(float(np.sum((w - 0.6) ** 2)), gradient_w=np.full_like(w, -10.0))
+
+    counted, points = _counting(evaluate)
+    w, trace, converged, iterations = _descend(
+        np.array([0.5]), counted, lambda v: np.clip(v, 0.0, 1.0),
+        OptimizerConfig(max_iters=1))
+    assert points == [np.array([x]).tobytes() for x in (0.5, 1.0, 0.8125, 0.65625)]
+    assert iterations == 1 and converged is False
+    assert w.tobytes() == np.array([0.65625]).tobytes()
+    assert trace == [pytest.approx(0.01), pytest.approx(0.05625 ** 2)]
+
+
+def test_negative_zero_from_the_projector_is_a_new_point():
+    # -0.0 == 0.0, but the bytes differ: the candidate is evaluated and the
+    # returned weights carry the projector's -0.0
+    def evaluate(w):
+        return ObjectiveValue(1.0, gradient_w=np.zeros_like(w))
+
+    counted, points = _counting(evaluate)
+    w, trace, converged, iterations = _descend(
+        np.zeros(2), counted, lambda v: np.copysign(v, -1.0), OptimizerConfig())
+    assert points == [np.zeros(2).tobytes(), np.full(2, -0.0).tobytes()]
+    assert np.all(np.signbit(w)) and trace == [1.0, 1.0]
+    assert iterations == 1 and converged is True
 
 
 def test_descent_that_finds_no_step_is_not_converged():
