@@ -51,7 +51,6 @@ from .objective import (
     soft_penalty_objective,
 )
 from .optimizer import (
-    FeatureWeights,
     OptimizerConfig,
     SelectionResult,
     dataset_response,
@@ -69,7 +68,6 @@ from .random_features import (
     embed,
 )
 from .synthdata import (
-    SyntheticSpec,
     gen_additive_regression,
     gen_binary_ring,
     gen_xor_4class,
@@ -89,12 +87,12 @@ __all__ = [
     "ObjectiveConfig", "ObjectiveValue", "exact_objective",
     "low_rank_equivalent_value", "low_rank_objective",
     "soft_penalty_objective",
-    "FeatureWeights", "OptimizerConfig", "SelectionResult",
+    "OptimizerConfig", "SelectionResult",
     "dataset_response", "optimize", "project", "ranking_from_weights",
     "round_to_subset",
     "SubsetScore", "exhaustive_argmin", "subset_score",
     "LinearFeatureMap", "RandomFeatureMap", "centered_embed", "draw_map",
     "embed",
-    "SyntheticSpec", "gen_additive_regression", "gen_binary_ring",
+    "gen_additive_regression", "gen_binary_ring",
     "gen_xor_4class", "generate",
 ]

@@ -12,15 +12,16 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import LabeledDataset
 from .errors import InvalidDataError, InvalidParameterError
+from .kernels import _check_integer
 from .objective import ObjectiveConfig
-from .optimizer import OptimizerConfig, dataset_response, optimize
+from .optimizer import dataset_response, optimize
 from .synthdata import KINDS, generate
 
 METHOD_VARIANTS = {
@@ -65,7 +66,7 @@ def pearson_baseline(dataset: LabeledDataset, m: int | None = None) -> tuple[int
     to the bottom of the ranking.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
-    if m is not None and not (1 <= m <= X.shape[1]):
+    if m is not None and not (1 <= _check_integer(m, "m") <= X.shape[1]):
         raise InvalidParameterError(f"m={m} out of range for d={X.shape[1]}")
     Yc = dataset_response(dataset)
     Xc = X - X.mean(axis=0)
@@ -126,9 +127,8 @@ class BenchmarkReport:
                                  format(row["median_rank"], ".17g")])
 
 
-def run_method(method: str, dataset: LabeledDataset, epsilon: float, seed: int,
-               optimizer_config: OptimizerConfig | None = None,
-               objective_overrides: dict | None = None) -> tuple[int, ...]:
+def run_method(method: str, dataset: LabeledDataset, epsilon: float,
+               seed: int) -> tuple[int, ...]:
     """Produce a full feature ranking for one method on one dataset."""
     if dataset.num_true is None:
         raise InvalidDataError("benchmark dataset must declare its true features")
@@ -138,32 +138,25 @@ def run_method(method: str, dataset: LabeledDataset, epsilon: float, seed: int,
         variant = METHOD_VARIANTS[method]
     except KeyError:
         raise InvalidParameterError(f"unknown method {method!r}") from None
-    overrides = objective_overrides or {}
-    cfg = ObjectiveConfig(epsilon=epsilon, m=dataset.num_true, variant=variant,
-                          seed=seed, **overrides)
-    result = optimize(dataset, cfg, optimizer_config)
-    return result.ranking
+    cfg = ObjectiveConfig(epsilon=epsilon, m=dataset.num_true, variant=variant, seed=seed)
+    return optimize(dataset, cfg).ranking
 
 
 def _run_cell(payload):
-    (kind, size, trial, methods, epsilon, master_seed,
-     optimizer_dict, overrides) = payload
+    kind, size, trial, methods, epsilon, master_seed = payload
     dataset_seed = derive_seed(master_seed, kind, size, trial)
     dataset = generate(kind, size, dataset_seed)
-    opt = OptimizerConfig(**optimizer_dict) if optimizer_dict else None
     out = {}
     for method in methods:
         method_seed = derive_seed(master_seed, kind, size, trial, method)
-        ranking = run_method(method, dataset, epsilon, method_seed, opt, overrides)
+        ranking = run_method(method, dataset, epsilon, method_seed)
         out[method] = median_rank(ranking, dataset.true_features)
     return size, trial, dataset_seed, out
 
 
 def run_benchmark(kind: str, sizes=DEFAULT_SIZES, trials: int = 10,
                   methods=("ccm-exact", "pearson"), master_seed: int = 0,
-                  epsilon: float | None = None, jobs: int = 1,
-                  optimizer_config: OptimizerConfig | None = None,
-                  objective_overrides: dict | None = None) -> BenchmarkReport:
+                  epsilon: float | None = None, jobs: int = 1) -> BenchmarkReport:
     """Run the median-rank protocol and aggregate a report.
 
     epsilon defaults to 0.001 for the classification generators and 0.1 for
@@ -173,23 +166,21 @@ def run_benchmark(kind: str, sizes=DEFAULT_SIZES, trials: int = 10,
     """
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown generator kind {kind!r}")
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(_check_integer(s, "size") for s in sizes)
     if not sizes or any(s < 4 for s in sizes):
         raise InvalidParameterError("sizes must be >= 4 for all generators")
-    if trials < 1:
+    if _check_integer(trials, "trials") < 1:
         raise InvalidParameterError("trials must be >= 1")
+    if _check_integer(jobs, "jobs") < 1:
+        raise InvalidParameterError("jobs must be >= 1")
     methods = tuple(methods)
     for method in methods:
         if method not in METHODS:
             raise InvalidParameterError(f"unknown method {method!r}")
     if epsilon is None:
         epsilon = EPSILON_BY_TASK[TASK_BY_KIND[kind]]
-    optimizer_dict = None if optimizer_config is None else asdict(optimizer_config)
-    payloads = [
-        (kind, size, trial, methods, epsilon, master_seed, optimizer_dict,
-         objective_overrides or {})
-        for size in sizes for trial in range(trials)
-    ]
+    payloads = [(kind, size, trial, methods, epsilon, master_seed)
+                for size in sizes for trial in range(trials)]
     results = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -222,9 +213,5 @@ def run_benchmark(kind: str, sizes=DEFAULT_SIZES, trials: int = 10,
     return BenchmarkReport(
         kind=kind, sizes=sizes, trials=trials, methods=methods,
         master_seed=master_seed, epsilon=epsilon, rows=rows, means=means,
-        config={
-            "optimizer": optimizer_dict or {},
-            "objective_overrides": objective_overrides or {},
-            "jobs": jobs,
-        },
+        config={"jobs": jobs},
     )

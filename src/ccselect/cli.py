@@ -44,15 +44,19 @@ TASK_ALIASES = {
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InvalidParameterError(f"sizes must be start:stop:step, got {text!r}")
-        start, stop, step = (int(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise InvalidParameterError(f"bad size range {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
+    parts = text.split(":" if ":" in text else ",")
+    try:
+        numbers = [int(p) for p in parts]
+    except ValueError:
+        raise InvalidParameterError(f"sizes must be integers, got {text!r}") from None
+    if ":" not in text:
+        return tuple(numbers)
+    if len(numbers) != 3:
+        raise InvalidParameterError(f"sizes must be start:stop:step, got {text!r}")
+    start, stop, step = numbers
+    if step <= 0 or stop < start:
+        raise InvalidParameterError(f"bad size range {text!r}")
+    return tuple(range(start, stop + 1, step))
 
 
 def _print_config(title: str, entries: dict) -> None:

@@ -77,7 +77,6 @@ class StandardizationInfo:
     mean: np.ndarray
     std: np.ndarray
     constant_columns: tuple[int, ...]
-    applied: bool = True
 
 
 def canonical_class_labels(y) -> tuple[np.ndarray, list]:

@@ -30,7 +30,8 @@ MEDIAN_HEURISTIC_MAX_POINTS = 5000
 class KernelSpec:
     """Input kernel choice with its bandwidth.
 
-    input_kernel: "gaussian" (requires bandwidth > 0) or "linear".
+    input_kernel: "gaussian" (requires bandwidth > 0) or "linear" (takes no
+    bandwidth).
     """
 
     input_kernel: str = "gaussian"
@@ -42,14 +43,15 @@ class KernelSpec:
         if self.input_kernel == "gaussian":
             if self.bandwidth is None or not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
                 raise InvalidParameterError("gaussian kernel requires bandwidth > 0")
+        elif self.bandwidth is not None:
+            raise InvalidParameterError("linear kernel takes no bandwidth")
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """An n x n kernel matrix plus a flag recording whether it is centered."""
+    """An n x n kernel matrix."""
 
     entries: np.ndarray
-    centered: bool = False
 
     @property
     def n(self) -> int:
@@ -134,15 +136,13 @@ def center_in_place(M: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 def center(K: GramMatrix) -> GramMatrix:
     """Conjugate the symmetric K by H = I - (1/n) 11^T: subtract row, column and grand means.
 
-    Runs in O(n^2); idempotent, so an already-centered input is returned as is.
+    Runs in O(n^2).
     """
-    if K.centered:
-        return K
     M = K.entries
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidDataError(f"Gram matrix must be square, got shape {M.shape}")
     C = np.array(M, dtype=np.float64)
-    return GramMatrix(center_in_place(C, np.empty_like(C)), centered=True)
+    return GramMatrix(center_in_place(C, np.empty_like(C)))
 
 
 def center_rows(B: np.ndarray) -> np.ndarray:
@@ -185,6 +185,8 @@ def median_bandwidth(X: np.ndarray, *, max_points: int = MEDIAN_HEURISTIC_MAX_PO
     without its copy.
     """
     X = _check_matrix(X)
+    if _check_integer(max_points, "max_points") < 2:
+        raise InvalidParameterError(f"max_points must be >= 2, got {max_points}")
     n = X.shape[0]
     if n < 2:
         raise DegenerateDataError("median bandwidth needs at least two samples")

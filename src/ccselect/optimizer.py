@@ -9,7 +9,6 @@ the m largest coordinates.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,24 +34,11 @@ from .random_features import LinearFeatureMap, draw_map
 MAX_INIT_PERTURBATION = 1e-3
 _BISECTION_TOL = 1e-12
 _MIN_STEP = 1e-18
-
-
-@dataclass(frozen=True)
-class FeatureWeights:
-    """A feasible point of the relaxed selection problem."""
-
-    w: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        if w.ndim != 1:
-            raise InvalidDataError("weights must be a vector")
-        if np.any(w < -1e-9) or np.any(w > 1.0 + 1e-9):
-            raise InvalidDataError("weights must lie in [0, 1]")
-        if w.sum() > self.m + 1e-9:
-            raise InvalidDataError(f"weights sum to {w.sum()}, above the cap m={self.m}")
+# Armijo backtracking: first trial step, step shrink factor and the
+# sufficient-decrease constant.
+_INIT_STEP = 1.0
+_ARMIJO_BETA = 0.5
+_ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True)
@@ -61,21 +47,12 @@ class OptimizerConfig:
 
     max_iters: int = 1000
     rel_tol: float = 1e-6
-    armijo_beta: float = 0.5
-    armijo_c: float = 1e-4
-    init_step: float = 1.0
 
     def __post_init__(self):
         if _check_integer(self.max_iters, "max_iters") < 1:
             raise InvalidParameterError("max_iters must be >= 1")
         if not (self.rel_tol > 0):
             raise InvalidParameterError("rel_tol must be positive")
-        if not (0.0 < self.armijo_beta < 1.0):
-            raise InvalidParameterError("armijo_beta must lie in (0, 1)")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise InvalidParameterError("armijo_c must lie in (0, 1)")
-        if not (self.init_step > 0):
-            raise InvalidParameterError("init_step must be positive")
 
 
 @dataclass
@@ -139,8 +116,8 @@ def round_to_subset(w: np.ndarray, m: int) -> tuple[int, ...]:
     Returned in ascending index order (the set of selected features).
     """
     w = np.asarray(w, dtype=np.float64)
-    if m > w.shape[0]:
-        raise InvalidParameterError(f"m={m} exceeds the number of features {w.shape[0]}")
+    if not (1 <= _check_integer(m, "m") <= w.shape[0]):
+        raise InvalidParameterError(f"m must lie in [1, {w.shape[0]}], got {m}")
     order = ranking_from_weights(w)
     return tuple(sorted(order[:m]))
 
@@ -178,12 +155,7 @@ def _prepare(dataset: LabeledDataset, sigma: float | None, input_kernel: str):
     return X, dataset_response(dataset), kernel
 
 
-def _initial_weights(d: int, cfg: ObjectiveConfig, projector, w0, perturbation: float):
-    if w0 is not None:
-        w = np.asarray(w0.w if isinstance(w0, FeatureWeights) else w0, dtype=np.float64)
-        if w.shape != (d,):
-            raise InvalidDataError(f"warm start has shape {w.shape}, expected ({d},)")
-        return projector(w)
+def _initial_weights(d: int, cfg: ObjectiveConfig, projector, perturbation: float):
     w = np.full(d, cfg.m / d)
     if perturbation > 0.0:
         rng = np.random.default_rng([cfg.seed, 0x1D17])
@@ -205,7 +177,7 @@ def _descend(w, evaluate, projector, opt: OptimizerConfig):
     current = evaluate(w)
     last_key, last = w.tobytes(), current
     trace = [current.value]
-    step = opt.init_step
+    step = _INIT_STEP
     converged = False
     iterations = 0
     for _ in range(opt.max_iters):
@@ -218,10 +190,10 @@ def _descend(w, evaluate, projector, opt: OptimizerConfig):
                 last_key, last = key, evaluate(w_new)
             candidate = last
             delta = w_new - w
-            if candidate.value <= current.value - (opt.armijo_c / s) * float(delta @ delta):
+            if candidate.value <= current.value - (_ARMIJO_C / s) * float(delta @ delta):
                 accepted = (w_new, candidate, s)
                 break
-            s *= opt.armijo_beta
+            s *= _ARMIJO_BETA
         if accepted is None:
             break
         iterations += 1
@@ -230,7 +202,7 @@ def _descend(w, evaluate, projector, opt: OptimizerConfig):
         rel = decrease / max(abs(current.value), 1e-300)
         w, current = w_new, candidate
         trace.append(current.value)
-        step = min(opt.init_step, s / opt.armijo_beta)
+        step = min(_INIT_STEP, s / _ARMIJO_BETA)
         if rel < opt.rel_tol:
             converged = True
             break
@@ -241,7 +213,6 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
              opt: OptimizerConfig | None = None, *,
              sigma: float | None = None,
              input_kernel: str = "gaussian",
-             w0: FeatureWeights | Sequence[float] | None = None,
              init_perturbation: float = 0.0) -> SelectionResult:
     """Run the relaxed selection problem to a ranked feature list.
 
@@ -260,36 +231,28 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
     n, d = X.shape
     classification = dataset.task == "classification"
 
-    if cfg.variant == "soft_penalty":
+    # Each variant's projector, objective and reading of Q off the descent's
+    # last value, which was taken at the final w.
+    if cfg.variant == "exact":
+        projector = lambda v: project(v, cfg.m)  # noqa: E731
+        evaluate = lambda wv: exact_objective(X, Y, wv, cfg, kernel)  # noqa: E731
+        read_q = lambda v, w: v  # noqa: E731
+    elif cfg.variant == "soft_penalty":
         projector = lambda v: np.clip(v, 0.0, 1.0)  # noqa: E731
+        evaluate = lambda wv: soft_penalty_objective(X, Y, wv, cfg, kernel)  # noqa: E731
+        read_q = lambda v, w: v - cfg.lambda1 * (float(w.sum()) - cfg.m)  # noqa: E731
     else:
         projector = lambda v: project(v, cfg.m)  # noqa: E731
-
-    feature_map = None
-    if cfg.variant == "low_rank":
         if input_kernel == "gaussian":
             feature_map = draw_map(d, cfg.num_random_features, kernel.bandwidth, cfg.seed)
         else:
             feature_map = LinearFeatureMap(d)
-
-    w = _initial_weights(d, cfg, projector, w0, init_perturbation)
-
-    if cfg.variant == "exact":
-        evaluate = lambda wv: exact_objective(X, Y, wv, cfg, kernel)  # noqa: E731
-    elif cfg.variant == "soft_penalty":
-        evaluate = lambda wv: soft_penalty_objective(X, Y, wv, cfg, kernel)  # noqa: E731
-    else:
         evaluate = lambda wv: low_rank_objective(X, Y, wv, cfg, feature_map)  # noqa: E731
-    w, trace, converged, iterations = _descend(w, evaluate, projector, opt)
+        read_q = lambda v, w: low_rank_equivalent_value(v, Y, cfg.epsilon, n)  # noqa: E731
 
-    # The descent's last value was taken at the final w; Q is read off it.
-    if cfg.variant == "exact":
-        q_final = trace[-1]
-    elif cfg.variant == "soft_penalty":
-        q_final = trace[-1] - cfg.lambda1 * (float(w.sum()) - cfg.m)
-    else:
-        q_final = low_rank_equivalent_value(trace[-1], Y, cfg.epsilon, n)
-    trace_estimate = cfg.epsilon * q_final
+    w = _initial_weights(d, cfg, projector, init_perturbation)
+    w, trace, converged, iterations = _descend(w, evaluate, projector, opt)
+    trace_estimate = cfg.epsilon * read_q(trace[-1], w)
 
     ranking = ranking_from_weights(w)
     result = SelectionResult(

@@ -31,16 +31,10 @@ class RandomFeatureMap:
     frequencies: np.ndarray
     phases: np.ndarray
     scale: float
-    sigma: float
-    seed: int
 
     @property
     def num_features(self) -> int:
         return self.frequencies.shape[0]
-
-    @property
-    def num_inputs(self) -> int:
-        return self.frequencies.shape[1]
 
     def embed(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
         return embed(self, X, w)
@@ -81,11 +75,7 @@ class LinearFeatureMap:
     low-rank objective agree with the exact one up to rounding.
     """
 
-    num_inputs: int
-
-    @property
-    def num_features(self) -> int:
-        return self.num_inputs
+    num_features: int
 
     def embed(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
         return X * w
@@ -115,13 +105,7 @@ def draw_map(d: int, D: int, sigma: float, seed: int) -> RandomFeatureMap:
     rng = np.random.default_rng(seed)
     freqs = rng.standard_normal((D, d)) / sigma
     phases = rng.uniform(0.0, 2.0 * np.pi, size=D)
-    return RandomFeatureMap(
-        frequencies=freqs,
-        phases=phases,
-        scale=float(np.sqrt(2.0 / D)),
-        sigma=float(sigma),
-        seed=int(seed),
-    )
+    return RandomFeatureMap(frequencies=freqs, phases=phases, scale=float(np.sqrt(2.0 / D)))
 
 
 def embed(feature_map: RandomFeatureMap, X: np.ndarray, w: np.ndarray) -> np.ndarray:

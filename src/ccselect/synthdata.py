@@ -6,8 +6,6 @@ indices are 0-based, so the true sets are {0..3}, {0..2} and {0..3}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataio import LabeledDataset
@@ -21,31 +19,17 @@ XOR_MIX_COVARIANCE = 0.5  # covariance reading of "0.5 I"; recorded in metadata
 _MAX_DRAWS_PER_POINT = 100_000
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Which generator to run, at what size, under which seed."""
-
-    kind: str
-    n: int
-    seed: int
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
-        if self.n < 1:
-            raise InvalidParameterError("n must be >= 1")
-        if not (0 <= int(self.seed) < 2**64):
-            raise InvalidParameterError("seed must fit in an unsigned 64-bit integer")
-
-    def generate(self) -> LabeledDataset:
-        return generate(self.kind, self.n, self.seed)
-
-
 def generate(kind: str, n: int, seed: int) -> LabeledDataset:
-    spec = SyntheticSpec(kind, n, seed)
-    if spec.kind == "binary_ring":
+    """Run the generator ``kind`` for n samples under ``seed``."""
+    if kind not in KINDS:
+        raise InvalidParameterError(f"unknown generator kind {kind!r}")
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    if not (0 <= int(seed) < 2**64):
+        raise InvalidParameterError("seed must fit in an unsigned 64-bit integer")
+    if kind == "binary_ring":
         return gen_binary_ring(n, seed)
-    if spec.kind == "xor_4class":
+    if kind == "xor_4class":
         return gen_xor_4class(n, seed)
     return gen_additive_regression(n, seed)
 

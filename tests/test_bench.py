@@ -122,6 +122,22 @@ def test_run_benchmark_rejects_unknown_method():
         run_benchmark("mystery", sizes=(10,), trials=1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 2.5}, {"jobs": 0}, {"jobs": -2}, {"jobs": 2.5}, {"sizes": (10.7,)},
+])
+def test_run_benchmark_rejects_non_integer_and_non_positive_counts(kwargs):
+    # jobs values here are refused before any worker process starts
+    with pytest.raises(InvalidParameterError):
+        run_benchmark("additive_regression", **{"sizes": (10,), "trials": 1,
+                                                "methods": ("pearson",), **kwargs})
+
+
+def test_pearson_rejects_non_integer_m():
+    ds = gen_xor_4class(12, 0)
+    with pytest.raises(InvalidParameterError):
+        pearson_baseline(ds, 2.5)
+
+
 def test_report_files_are_deterministic(tmp_path):
     report = run_benchmark("xor_4class", sizes=(10,), trials=2,
                            methods=("pearson",), master_seed=9)

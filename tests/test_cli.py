@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ccselect
 from ccselect import bench, cli, objective
 from ccselect.cli import main
 from ccselect.errors import InvalidParameterError
@@ -127,6 +128,38 @@ def test_benchmark_rejects_bad_sizes(capsys):
     code = main(["benchmark", "--kind", "xor_4class", "--sizes", "10:5:2",
                  "--trials", "1", "--methods", "pearson"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sizes", "10.5"], ["--sizes", "10:x:10"], ["--jobs", "0"], ["--jobs", "-2"],
+])
+def test_benchmark_rejects_non_integer_sizes_and_jobs_below_one(flags, capsys):
+    # jobs values here are refused before any worker process starts
+    code = main(["benchmark", "--kind", "xor_4class", "--sizes", "10",
+                 "--trials", "1", "--methods", "pearson", *flags])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_every_saved_config_field_has_a_flag(tmp_path):
+    data = tmp_path / "reg.csv"
+    main(["gen-data", "--kind", "additive_regression", "--n", "20",
+          "--seed", "1", "--out", str(data)])
+    result = tmp_path / "r.json"
+    code = main(["select", "--input", str(data), "--label", "label", "--task", "reg",
+                 "--epsilon", "0.05", "--m", "2", "--variant", "soft",
+                 "--lambda1", "0.5", "--rff-dim", "64", "--seed", "5",
+                 "--max-iters", "50", "--rel-tol", "1e-4", "--out", str(result)])
+    assert code == 0
+    config = json.loads(result.read_text())["config"]
+    assert config["objective"] == {
+        "epsilon": 0.05, "m": 2, "variant": "soft_penalty", "lambda1": 0.5,
+        "num_random_features": 64, "seed": 5,
+    }
+    assert config["optimizer"] == {"max_iters": 50, "rel_tol": 1e-4}
+    namespace = {}
+    exec("from ccselect import *", namespace)
+    assert set(ccselect.__all__) <= set(namespace)
 
 
 def test_oracle_input_requires_label(tmp_path, capsys):

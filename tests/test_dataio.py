@@ -96,7 +96,6 @@ def test_standardize_two_point_column():
     # mean 1, sample std sqrt(2): (0,2) -> (-0.7071..., +0.7071...)
     assert np.allclose(out.X[:, 0], [-1 / np.sqrt(2), 1 / np.sqrt(2)])
     assert info.constant_columns == ()
-    assert info.applied
 
 
 def test_standardize_leaves_constant_columns_untouched():

@@ -149,6 +149,7 @@ _ENTRY_POINTS = {
     (None, {"sigma": float("nan")}, InvalidParameterError),
     (None, {"sigma": float("inf")}, InvalidParameterError),
     (None, {"input_kernel": "cubic"}, InvalidParameterError),
+    (None, {"sigma": 1.0, "input_kernel": "linear"}, InvalidParameterError),
 ])
 def test_entry_points_raise_the_same_error_class(fault, kwargs, error):
     ds = _dataset_with_fault(fault)

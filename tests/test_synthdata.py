@@ -6,7 +6,6 @@ from ccselect.errors import InvalidParameterError
 from ccselect.synthdata import (
     SHELL_HIGH,
     SHELL_LOW,
-    SyntheticSpec,
     gen_additive_regression,
     gen_binary_ring,
     gen_xor_4class,
@@ -109,7 +108,7 @@ def test_noise_features_uncorrelated_with_response():
 
 def test_synthetic_spec_validation():
     with pytest.raises(InvalidParameterError):
-        SyntheticSpec("ring", 10, 0)
+        generate("ring", 10, 0)
     with pytest.raises(InvalidParameterError):
         gen_binary_ring(1, 0)
     with pytest.raises(InvalidParameterError):
