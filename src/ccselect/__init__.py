@@ -17,7 +17,6 @@ from .bench import (
 )
 from .dataio import (
     LabeledDataset,
-    StandardizationInfo,
     canonical_class_labels,
     load_csv,
     save_dataset_csv,
@@ -77,7 +76,7 @@ from .synthdata import (
 __all__ = [
     "BenchmarkReport", "derive_seed", "median_rank", "pearson_baseline",
     "run_benchmark",
-    "LabeledDataset", "StandardizationInfo", "canonical_class_labels",
+    "LabeledDataset", "canonical_class_labels",
     "load_csv", "save_dataset_csv", "save_result", "standardize",
     "CsvParseError", "DegenerateDataError", "InvalidDataError",
     "InvalidLabelError", "InvalidParameterError", "NumericalError",

@@ -73,7 +73,7 @@ def _load_dataset(args):
 def _cmd_select(args) -> int:
     dataset = _load_dataset(args)
     if args.standardize:
-        dataset, _ = standardize(dataset)
+        dataset = standardize(dataset)
     if not (1 <= args.m <= dataset.d):
         raise InvalidParameterError(f"--m must lie in [1, {dataset.d}], got {args.m}")
     sigma = args.sigma if args.sigma is not None else median_bandwidth(dataset.X)
@@ -92,11 +92,9 @@ def _cmd_select(args) -> int:
         "lambda1": cfg.lambda1,
         "rff_dim": cfg.num_random_features, "sigma": sigma,
         "standardize": args.standardize, "seed": cfg.seed,
-        "init_perturbation": args.perturb_init,
         "max_iters": opt.max_iters, "rel_tol": opt.rel_tol,
     })
-    result = optimize(dataset, cfg, opt, sigma=sigma,
-                      init_perturbation=args.perturb_init)
+    result = optimize(dataset, cfg, opt, sigma=sigma)
     names = dataset.feature_names or [f"feature_{j}" for j in range(dataset.d)]
     print(f"selected (indices): {list(result.selected)}")
     print(f"selected (names): {[names[j] for j in result.selected]}")
@@ -212,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--sigma", type=float, default=None,
                        help="override the median-heuristic bandwidth")
     p_sel.add_argument("--standardize", action="store_true")
-    p_sel.add_argument("--perturb-init", type=float, default=0.0,
-                       help="seeded uniform init perturbation, at most 1e-3")
     p_sel.add_argument("--max-iters", type=int, default=1000)
     p_sel.add_argument("--rel-tol", type=float, default=1e-6)
     p_sel.add_argument("--out", default=None)

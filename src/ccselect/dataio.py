@@ -37,10 +37,8 @@ class LabeledDataset:
     X: np.ndarray
     y: np.ndarray
     task: str
-    num_classes: int | None = None
     true_features: tuple[int, ...] | None = None
     feature_names: list[str] | None = None
-    label_names: list | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -64,19 +62,6 @@ class LabeledDataset:
     @property
     def num_true(self) -> int | None:
         return None if self.true_features is None else len(self.true_features)
-
-
-@dataclass(frozen=True)
-class StandardizationInfo:
-    """Per-column mean/std used by :func:`standardize`.
-
-    Constant columns are left untouched; their positions are flagged and
-    their std recorded as 0.
-    """
-
-    mean: np.ndarray
-    std: np.ndarray
-    constant_columns: tuple[int, ...]
 
 
 def canonical_class_labels(y) -> tuple[np.ndarray, list]:
@@ -121,9 +106,8 @@ def load_csv(path, label_column, task: str) -> LabeledDataset:
     """Load a dataset from a headered CSV file.
 
     Classification labels are mapped to {0, ..., k-1} in order of first
-    appearance and the mapping is recorded in ``label_names``. Missing or
-    non-numeric feature cells raise with their row/column location; no
-    imputation is attempted.
+    appearance. Missing or non-numeric feature cells raise with their
+    row/column location; no imputation is attempted.
     """
     if task not in TASKS:
         raise InvalidParameterError(f"unknown task {task!r}")
@@ -175,9 +159,8 @@ def load_csv(path, label_column, task: str) -> LabeledDataset:
         except ValueError as exc:
             raise CsvParseError(f"non-numeric regression label: {exc}") from None
         return LabeledDataset(X, y, task, feature_names=feature_names)
-    labels, classes = canonical_class_labels(raw_labels)
-    return LabeledDataset(X, labels, task, num_classes=len(classes),
-                          feature_names=feature_names, label_names=classes)
+    labels, _ = canonical_class_labels(raw_labels)
+    return LabeledDataset(X, labels, task, feature_names=feature_names)
 
 
 def _fmt(x) -> str:
@@ -201,11 +184,10 @@ def save_dataset_csv(dataset: LabeledDataset, path) -> None:
             writer.writerow(row)
 
 
-def standardize(dataset: LabeledDataset) -> tuple[LabeledDataset, StandardizationInfo]:
-    """Center and scale each non-constant column to mean 0, sample std 1.
+def standardize(dataset: LabeledDataset) -> LabeledDataset:
+    """Return the dataset with each non-constant column at mean 0, sample std 1.
 
-    The std uses the n-1 denominator. Constant columns are left as they are
-    and reported in the returned info.
+    The std uses the n-1 denominator. Constant columns are left as they are.
     """
     X = dataset.X
     mean = X.mean(axis=0)
@@ -214,22 +196,12 @@ def standardize(dataset: LabeledDataset) -> tuple[LabeledDataset, Standardizatio
     out = X.copy()
     active = ~constant
     out[:, active] = (X[:, active] - mean[active]) / std[active]
-    info = StandardizationInfo(
-        mean=np.where(constant, 0.0, mean),
-        std=np.where(constant, 0.0, std),
-        constant_columns=tuple(int(j) for j in np.flatnonzero(constant)),
-    )
-    new_meta = dict(dataset.meta)
-    new_meta["standardized"] = True
-    transformed = LabeledDataset(
+    return LabeledDataset(
         out, dataset.y.copy(), dataset.task,
-        num_classes=dataset.num_classes,
         true_features=dataset.true_features,
         feature_names=dataset.feature_names,
-        label_names=dataset.label_names,
-        meta=new_meta,
+        meta=dict(dataset.meta),
     )
-    return transformed, info
 
 
 def save_result(result, path, format: str = "json") -> None:

@@ -99,9 +99,6 @@ def weighted_gaussian_gram(X: np.ndarray, w: np.ndarray, sigma: float) -> GramMa
     w = _check_weights(w, X.shape[1])
     if not np.isfinite(sigma) or sigma <= 0:
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    n = X.shape[0]
-    if n == 1:
-        return GramMatrix(np.ones((1, 1)))
     Z = X * w
     sq = squareform(pdist(Z, "sqeuclidean"))
     K = np.exp(-sq / (2.0 * sigma * sigma))

@@ -41,7 +41,7 @@ class ObjectiveConfig:
     m: target number of selected features.
     lambda1: weight of the soft cardinality penalty (soft_penalty variant).
     num_random_features: rank D of the feature factorization (low_rank).
-    seed: controls the random feature draw and any init perturbation.
+    seed: controls the random feature draw.
     """
 
     epsilon: float

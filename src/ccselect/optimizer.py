@@ -31,7 +31,6 @@ from .objective import (
 )
 from .random_features import LinearFeatureMap, draw_map
 
-MAX_INIT_PERTURBATION = 1e-3
 _BISECTION_TOL = 1e-12
 _MIN_STEP = 1e-18
 # Armijo backtracking: first trial step, step shrink factor and the
@@ -155,14 +154,6 @@ def _prepare(dataset: LabeledDataset, sigma: float | None, input_kernel: str):
     return X, dataset_response(dataset), kernel
 
 
-def _initial_weights(d: int, cfg: ObjectiveConfig, projector, perturbation: float):
-    w = np.full(d, cfg.m / d)
-    if perturbation > 0.0:
-        rng = np.random.default_rng([cfg.seed, 0x1D17])
-        w = w + rng.uniform(-perturbation, perturbation, size=d)
-    return projector(w)
-
-
 def _descend(w, evaluate, projector, opt: OptimizerConfig):
     """Monotone PGD: returns (w, trace, converged, iterations).
 
@@ -212,8 +203,7 @@ def _descend(w, evaluate, projector, opt: OptimizerConfig):
 def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
              opt: OptimizerConfig | None = None, *,
              sigma: float | None = None,
-             input_kernel: str = "gaussian",
-             init_perturbation: float = 0.0) -> SelectionResult:
+             input_kernel: str = "gaussian") -> SelectionResult:
     """Run the relaxed selection problem to a ranked feature list.
 
     sigma defaults to the median-distance bandwidth heuristic on the data.
@@ -224,9 +214,6 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
     opt = opt or OptimizerConfig()
     if cfg.m > dataset.d:
         raise InvalidParameterError(f"m={cfg.m} exceeds the feature count {dataset.d}")
-    if not (0.0 <= init_perturbation <= MAX_INIT_PERTURBATION):
-        raise InvalidParameterError(
-            f"init perturbation must lie in [0, {MAX_INIT_PERTURBATION}]")
     X, Y, kernel = _prepare(dataset, sigma, input_kernel)
     n, d = X.shape
     classification = dataset.task == "classification"
@@ -250,7 +237,8 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
         evaluate = lambda wv: low_rank_objective(X, Y, wv, cfg, feature_map)  # noqa: E731
         read_q = lambda v, w: low_rank_equivalent_value(v, Y, cfg.epsilon, n)  # noqa: E731
 
-    w = _initial_weights(d, cfg, projector, init_perturbation)
+    # The float sum of d copies of m/d can exceed m, so the start is projected.
+    w = projector(np.full(d, cfg.m / d))
     w, trace, converged, iterations = _descend(w, evaluate, projector, opt)
     trace_estimate = cfg.epsilon * read_q(trace[-1], w)
 
@@ -271,7 +259,6 @@ def optimize(dataset: LabeledDataset, cfg: ObjectiveConfig,
             "input_kernel": input_kernel,
             "response_kernel": "one_hot_delta" if classification else "linear",
             "num_classes": Y.shape[1] if classification else None,
-            "init_perturbation": init_perturbation,
         },
     )
     return result

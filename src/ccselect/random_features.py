@@ -36,9 +36,6 @@ class RandomFeatureMap:
     def num_features(self) -> int:
         return self.frequencies.shape[0]
 
-    def embed(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return embed(self, X, w)
-
     def centered_embed(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
         return centered_embed(self, X, w)
 

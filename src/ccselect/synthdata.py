@@ -10,6 +10,7 @@ import numpy as np
 
 from .dataio import LabeledDataset
 from .errors import InvalidParameterError, NumericalError
+from .kernels import _check_integer
 
 KINDS = ("binary_ring", "xor_4class", "additive_regression")
 
@@ -23,9 +24,9 @@ def generate(kind: str, n: int, seed: int) -> LabeledDataset:
     """Run the generator ``kind`` for n samples under ``seed``."""
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown generator kind {kind!r}")
-    if n < 1:
+    if _check_integer(n, "n") < 1:
         raise InvalidParameterError("n must be >= 1")
-    if not (0 <= int(seed) < 2**64):
+    if not (0 <= _check_integer(seed, "seed") < 2**64):
         raise InvalidParameterError("seed must fit in an unsigned 64-bit integer")
     if kind == "binary_ring":
         return gen_binary_ring(n, seed)
@@ -79,7 +80,7 @@ def gen_binary_ring(n: int, seed: int) -> LabeledDataset:
                         -np.ones(n_neg, dtype=np.int64)])
     perm = rng.permutation(n)
     return LabeledDataset(
-        X[perm], y[perm], "classification", num_classes=2,
+        X[perm], y[perm], "classification",
         true_features=(0, 1, 2, 3),
         meta={"kind": "binary_ring", "seed": int(seed)},
     )
@@ -108,7 +109,7 @@ def gen_xor_4class(n: int, seed: int) -> LabeledDataset:
     X = np.hstack([first3, noise])
     perm = rng.permutation(n)
     return LabeledDataset(
-        X[perm], labels[perm], "classification", num_classes=4,
+        X[perm], labels[perm], "classification",
         true_features=(0, 1, 2),
         meta={"kind": "xor_4class", "seed": int(seed),
               "mixture_covariance": XOR_MIX_COVARIANCE},

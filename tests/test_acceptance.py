@@ -53,8 +53,7 @@ def _random_instance(seed: int):
         ds = LabeledDataset(X, rng.standard_normal(n), "regression")
     else:
         k = int(rng.integers(2, 4))
-        ds = LabeledDataset(X, rng.integers(0, k, n), "classification",
-                            num_classes=k)
+        ds = LabeledDataset(X, rng.integers(0, k, n), "classification")
     eps = float(rng.uniform(0.05, 0.4))
     w = rng.uniform(0.05, 0.95, d)
     return ds, eps, w

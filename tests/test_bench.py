@@ -71,7 +71,7 @@ def test_pearson_classification_uses_one_hot_columns():
     labels = rng.integers(0, 3, n)
     X = rng.standard_normal((n, 4))
     X[:, 2] += 2.0 * (labels == 1)  # informative about one class only
-    ds = LabeledDataset(X, labels, "classification", num_classes=3)
+    ds = LabeledDataset(X, labels, "classification")
     assert pearson_baseline(ds)[0] == 2
 
 

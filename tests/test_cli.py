@@ -39,6 +39,25 @@ def test_select_end_to_end(tmp_path, capsys):
     assert "selected" in out
 
 
+def test_select_standardize(tmp_path, capsys):
+    # one constant column and one rescaled signal column among noise
+    rng = np.random.default_rng(4)
+    n = 40
+    signal = rng.standard_normal(n)
+    X = np.column_stack([np.full(n, 7.0), 1000.0 * signal, rng.standard_normal(n)])
+    y = signal + 0.1 * rng.standard_normal(n)
+    data = tmp_path / "scaled.csv"
+    rows = [",".join(repr(float(v)) for v in (*x, t)) for x, t in zip(X, y)]
+    data.write_text("\n".join(["f0,f1,f2,label", *rows]) + "\n")
+    result = tmp_path / "r.json"
+    code = main(["select", "--input", str(data), "--label", "label",
+                 "--task", "reg", "--m", "1", "--epsilon", "0.1",
+                 "--standardize", "--out", str(result)])
+    assert code == 0
+    assert "standardize = True" in capsys.readouterr().out
+    assert json.loads(result.read_text())["selected"] == [1]
+
+
 def test_select_missing_m_exits_2(tmp_path):
     data = tmp_path / "reg.csv"
     main(["gen-data", "--kind", "additive_regression", "--n", "20",
@@ -152,6 +171,8 @@ def test_every_saved_config_field_has_a_flag(tmp_path):
                  "--max-iters", "50", "--rel-tol", "1e-4", "--out", str(result)])
     assert code == 0
     config = json.loads(result.read_text())["config"]
+    assert set(config) == {"objective", "optimizer", "input_kernel",
+                           "response_kernel", "num_classes"}
     assert config["objective"] == {
         "epsilon": 0.05, "m": 2, "variant": "soft_penalty", "lambda1": 0.5,
         "num_random_features": 64, "seed": 5,

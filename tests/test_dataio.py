@@ -24,9 +24,7 @@ def test_label_mapping_by_first_appearance(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("f0,f1,label\n1,2,a\n3,4,b\n5,6,a\n")
     ds = load_csv(path, "label", "classification")
-    assert ds.num_classes == 2
     assert np.array_equal(ds.y, [0, 1, 0])
-    assert ds.label_names == ["a", "b"]
     assert ds.feature_names == ["f0", "f1"]
 
 
@@ -86,24 +84,21 @@ def test_round_trip_classification(tmp_path):
     labels_orig, classes_orig = canonical_class_labels(ds.y)
     labels_back, _ = canonical_class_labels(back.y)
     assert np.array_equal(labels_orig, labels_back)
-    assert back.num_classes == 2
 
 
 def test_standardize_two_point_column():
     ds = LabeledDataset(np.array([[0.0], [2.0]]), np.array([0.0, 1.0]),
                         "regression")
-    out, info = standardize(ds)
+    out = standardize(ds)
     # mean 1, sample std sqrt(2): (0,2) -> (-0.7071..., +0.7071...)
     assert np.allclose(out.X[:, 0], [-1 / np.sqrt(2), 1 / np.sqrt(2)])
-    assert info.constant_columns == ()
 
 
 def test_standardize_leaves_constant_columns_untouched():
     X = np.column_stack([np.full(4, 7.0), np.arange(4.0)])
     ds = LabeledDataset(X, np.zeros(4), "regression")
-    out, info = standardize(ds)
+    out = standardize(ds)
     assert np.array_equal(out.X[:, 0], X[:, 0])
-    assert info.constant_columns == (0,)
     assert abs(out.X[:, 1].mean()) <= 1e-12
     assert out.X[:, 1].std(ddof=1) == pytest.approx(1.0)
 
@@ -112,8 +107,8 @@ def test_standardize_is_idempotent():
     rng = np.random.default_rng(15)
     ds = LabeledDataset(rng.normal(3, 2, (30, 4)), rng.normal(size=30),
                         "regression")
-    once, _ = standardize(ds)
-    twice, _ = standardize(once)
+    once = standardize(ds)
+    twice = standardize(once)
     assert np.max(np.abs(twice.X - once.X)) <= 1e-12
 
 

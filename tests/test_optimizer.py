@@ -270,27 +270,22 @@ def test_descent_that_finds_no_step_is_not_converged():
 
 
 def test_optimize_soft_variant_only_clips_to_box():
-    # with no penalty there is no cardinality pressure, so weights exceed m
-    ds = make_linear_dataset(30, 4, 7, noise=0.1)
+    # with no penalty there is no cardinality pressure, so when every column
+    # carries signal the weights exceed m
     cfg = ObjectiveConfig(epsilon=0.1, m=1, variant="soft_penalty", lambda1=0.0)
-    result = optimize(ds, cfg)
-    assert result.final_weights.sum() > 1.0
-    assert np.all(result.final_weights <= 1.0)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((30, 4))
+        y = X.sum(axis=1) + 0.1 * rng.standard_normal(30)
+        result = optimize(LabeledDataset(X, y, "regression"), cfg)
+        assert result.final_weights.sum() > 1.0
+        assert np.all(result.final_weights <= 1.0)
 
 
 def test_optimize_rejects_oversized_m():
     ds = make_linear_dataset(20, 3, 9)
     with pytest.raises(InvalidParameterError):
         optimize(ds, ObjectiveConfig(epsilon=0.1, m=4))
-
-
-def test_optimize_perturbation_bounds():
-    ds = make_linear_dataset(20, 3, 10)
-    cfg = ObjectiveConfig(epsilon=0.1, m=1)
-    with pytest.raises(InvalidParameterError):
-        optimize(ds, cfg, init_perturbation=0.01)
-    result = optimize(ds, cfg, init_perturbation=1e-3)
-    assert result.ranking[0] == 0
 
 
 def test_selection_result_reports_selected_as_top_of_ranking():

@@ -115,6 +115,13 @@ def test_synthetic_spec_validation():
         gen_xor_4class(3, 0)
 
 
+@pytest.mark.parametrize("n, seed", [(10.5, 0), (10, 1.5), ("10", 0)])
+def test_generate_refuses_non_integer_n_and_seed(n, seed):
+    for kind in ("binary_ring", "xor_4class", "additive_regression"):
+        with pytest.raises(InvalidParameterError):
+            generate(kind, n, seed)
+
+
 def test_xor_metadata_records_covariance_reading():
     ds = gen_xor_4class(8, 0)
     assert ds.meta["mixture_covariance"] == 0.5
